@@ -60,6 +60,30 @@ def _require(cond, message, fld):
         raise ProblemSpecError(message, field=fld)
 
 
+def _convert(kind, value, fld):
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError):
+        raise ProblemSpecError(f"expected {kind.__name__}, got {value!r}", field=fld) from None
+
+
+def _numbers(value, fld) -> list:
+    _require(isinstance(value, list), f"expected a list of numbers, got {value!r}", fld)
+    return [_convert(float, v, fld) for v in value]
+
+
+def _path_count(value, fld) -> int:
+    n = _convert(int, value, fld)
+    _require(n >= 1, f"must be >= 1, got {n}", fld)
+    return n
+
+
+def _seed(value, fld) -> int:
+    seed = _convert(int, value, fld)
+    _require(0 <= seed < 2**128, f"must be in [0, 2**128), got {seed}", fld)
+    return seed
+
+
 def load_problem_spec(path) -> ProblemSpec:
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
@@ -82,8 +106,10 @@ def load_problem_spec(path) -> ProblemSpec:
     _require(isinstance(con, dict) and "type" in con, "construction needs a type", "construction")
     _require(con["type"] in _CONSTRUCTIONS, f"unknown type {con['type']!r}", "construction.type")
     if con["type"] == "vallois":
-        _require("eps" in con and float(con["eps"]) > 0, "vallois needs eps > 0", "construction.eps")
-        _require(int(con.get("max_steps", 0)) >= 0, "max_steps must be >= 0", "construction.max_steps")
+        _require("eps" in con and _convert(float, con["eps"], "construction.eps") > 0,
+                 "vallois needs eps > 0", "construction.eps")
+        _require(_convert(int, con.get("max_steps", 0), "construction.max_steps") >= 0,
+                 "max_steps must be >= 0", "construction.max_steps")
     if con["type"] == "custom":
         _require("tangents" in con and isinstance(con["tangents"], list),
                  "custom needs a tangent list", "construction.tangents")
@@ -94,12 +120,13 @@ def load_problem_spec(path) -> ProblemSpec:
     span = max(
         [abs(float(x)) for x, _ in mu0.atoms] + [abs(float(x)) for x, _ in mu.atoms] + [1.0]
     )
-    gammas = [float(g) for g in sim.get("gammas", [2 * span, 4 * span, 8 * span])]
+    gammas = _numbers(sim.get("gammas", [2 * span, 4 * span, 8 * span]), "simulation.gammas")
     _require(all(g > 0 for g in gammas), "gammas must be positive", "simulation.gammas")
-    thresholds = [float(t) for t in sim.get("thresholds", [float(x) for x in mu.positions])]
-    n_paths = int(sim.get("n_paths", 100_000))
-    _require(n_paths >= 1, "n_paths must be >= 1", "simulation.n_paths")
-    return ProblemSpec(mu0, mu, con, n_paths, int(sim.get("seed", 0)), gammas, thresholds)
+    thresholds = _numbers(sim.get("thresholds", [float(x) for x in mu.positions]),
+                          "simulation.thresholds")
+    n_paths = _path_count(sim.get("n_paths", 100_000), "simulation.n_paths")
+    seed = _seed(sim.get("seed", 0), "simulation.seed")
+    return ProblemSpec(mu0, mu, con, n_paths, seed, gammas, thresholds)
 
 
 def build_plan(spec: ProblemSpec) -> EmbeddingPlan:
@@ -207,8 +234,8 @@ def cmd_verify(args) -> int:
         print(f"error: plan incomplete, residual = {float(plan.residual):.6g}", file=sys.stderr)
         return 3
 
-    n = args.paths or spec.n_paths
-    seed = spec.seed if args.seed is None else args.seed
+    n = spec.n_paths if args.paths is None else _path_count(args.paths, "--paths")
+    seed = spec.seed if args.seed is None else _seed(args.seed, "--seed")
     report = minimality.minimality_report(plan, n, spec.gammas, seed)
     law = simulate.empirical_law(plan, n, seed, spec.thresholds)
     tv = simulate.tv_distance(law, spec.mu)

@@ -3,9 +3,17 @@
 No time discretization: each balayage step is realized by its two-point exit
 law, and the running maximum / minimum within a step are drawn from the exact
 conditional hitting laws.  Randomness is a counter-based Philox stream keyed
-by the 64-bit seed; path ``i`` consumes the fixed-size block of draws at rows
-``i`` of the stream, so single-path sampling, batched estimation and any
-chunking produce identical results.
+by the seed (0 <= seed < 2**128); path ``i`` consumes the fixed-size block of
+draws at rows ``i`` of the stream, so single-path sampling, batched
+estimation and any chunking produce identical results.
+
+One vectorised pass simulates the paths of ``(plan, n, seed)`` once and keeps,
+per path, the start, the final position, the range visited and the range
+visited before the last step in which the path moved.  Every estimate reads
+that pass: crossings of any level strictly before stopping follow from the
+ranges, so no per-level work runs inside the kernel.  The last pass is kept
+in a one-entry memo, holding its plan weakly, so the law and the tail
+estimates of one plan share it.
 
 Per-path draw layout (row of ``row_len`` uniforms, padded to a multiple of 4
 so rows align with Philox counter blocks): column 0 selects the start by
@@ -16,8 +24,9 @@ are consumed positionally whether or not a step applies to the path.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -82,19 +91,44 @@ def _stream(seed: int, row0: int, row_len: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-def _run_chunk(pd: _PlanData, u: np.ndarray, levels: Sequence[float]):
-    """Vectorized pass of one block of paths.
+class _Paths(NamedTuple):
+    """Per-path arrays of one Monte Carlo pass.
 
-    Returns (start, pos, gmax, gmin, crossed) where crossed[j] flags, per
-    path, a visit to levels[j] strictly before the final stopping time.
+    ``gmin``/``gmax`` bound the whole range a path visited; ``pmin``/``pmax``
+    bound the range it visited before the last step in which it moved (the
+    start alone if it moved at most once).
     """
+
+    start: np.ndarray
+    final: np.ndarray
+    gmax: np.ndarray
+    gmin: np.ndarray
+    pmax: np.ndarray
+    pmin: np.ndarray
+    moved: np.ndarray
+
+    def crossed(self, level: float) -> np.ndarray:
+        """Per path, a visit to ``level`` strictly before the final stopping
+        time.  Each step visits the interval between its sampled extremes,
+        which holds the step's start and exit, so the visited set is one
+        interval; a level equal to the final position counts only if it was
+        visited before the last move."""
+        return self.moved & np.where(
+            self.final == level,
+            (self.pmin <= level) & (level <= self.pmax),
+            (self.gmin <= level) & (level <= self.gmax),
+        )
+
+
+def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
+    """Vectorized pass of one block of paths."""
     start = pd.positions[np.searchsorted(pd.cum, u[:, 0], side="right")]
     pos = start.copy()
     gmax = start.copy()
     gmin = start.copy()
-    moved_any = np.zeros(len(pos), dtype=bool)
-    tb = [np.zeros(len(pos), dtype=bool) for _ in levels]
-    tc = [pos == lv for lv in levels]
+    pmax = start.copy()
+    pmin = start.copy()
+    moved = np.zeros(len(pos), dtype=bool)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         for k, (a, b) in enumerate(pd.steps):
@@ -120,39 +154,49 @@ def _run_chunk(pd: _PlanData, u: np.ndarray, levels: Sequence[float]):
                 newpos = np.full_like(pos, b)
                 rng_hi = np.full_like(pos, b)
                 rng_lo = b - (b - pos) / vmin
-            for j, lv in enumerate(levels):
-                touched = inside & (rng_lo <= lv) & (lv <= rng_hi)
-                tb[j] = np.where(inside, tb[j] | tc[j], tb[j])
-                tc[j] = np.where(inside, touched, tc[j])
+            pmax = np.where(inside, gmax, pmax)
+            pmin = np.where(inside, gmin, pmin)
             gmax = np.where(inside, np.maximum(gmax, rng_hi), gmax)
             gmin = np.where(inside, np.minimum(gmin, rng_lo), gmin)
             pos = np.where(inside, newpos, pos)
-            moved_any |= inside
+            moved |= inside
 
-    crossed = [
-        moved_any & (tb[j] | (tc[j] & (pos != lv))) for j, lv in enumerate(levels)
-    ]
-    return start, pos, gmax, gmin, crossed
+    return _Paths(start, pos, gmax, gmin, pmax, pmin, moved)
 
 
-def _run_all(plan: EmbeddingPlan, n: int, seed: int, levels: Sequence[float]):
+def _run_all(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
     pd = _PlanData(plan)
-    starts = np.empty(n)
-    finals = np.empty(n)
-    gmaxs = np.empty(n)
-    gmins = np.empty(n)
-    crossed = [np.empty(n, dtype=bool) for _ in levels]
+    paths = _Paths(*(np.empty(n) for _ in range(6)), np.empty(n, dtype=bool))
     done = 0
     while done < n:
         rows = min(_CHUNK, n - done)
         u = _stream(seed, done, pd.row_len).random((rows, pd.row_len))
-        s, p, hi, lo, cr = _run_chunk(pd, u, levels)
-        sl = slice(done, done + rows)
-        starts[sl], finals[sl], gmaxs[sl], gmins[sl] = s, p, hi, lo
-        for j in range(len(levels)):
-            crossed[j][sl] = cr[j]
+        for whole, part in zip(paths, _run_chunk(pd, u)):
+            whole[done:done + rows] = part
         done += rows
-    return starts, finals, gmaxs, gmins, crossed
+    for arr in paths:
+        arr.flags.writeable = False  # shared by every reader of the memo
+    return paths
+
+
+#: the last pass as (weak reference to its plan, n, seed, paths); replaced
+#: whole, never mutated, so concurrent callers at worst simulate twice
+_memo = None
+
+
+def _pass(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
+    """The paths of (plan, n, seed), simulated once and shared by every
+    estimate that asks for the same triple next."""
+    global _memo
+    if n < 1:
+        raise InvalidParameterError(f"n must be at least 1, got {n}")
+    memo = _memo
+    if memo is not None and memo[0]() is plan and memo[1:3] == (n, seed):
+        return memo[3]
+    _memo = None  # free the old arrays before the new pass allocates
+    paths = _run_all(plan, n, seed)
+    _memo = (weakref.ref(plan), n, seed, paths)
+    return paths
 
 
 def sample_path(plan: EmbeddingPlan, seed: int, index: int) -> PathSample:
@@ -198,12 +242,10 @@ def empirical_law(
 ) -> EmpiricalLaw:
     """Aggregate n paths: final-value frequencies and, for each threshold t,
     the frequency of running max >= t.  Deterministic given (plan, seed, n)."""
-    if n < 1:
-        raise InvalidParameterError("n must be at least 1")
-    _, finals, gmaxs, _, _ = _run_all(plan, n, seed, ())
-    values, counts = np.unique(finals, return_counts=True)
+    paths = _pass(plan, n, seed)
+    values, counts = np.unique(paths.final, return_counts=True)
     freqs = {float(v): c / n for v, c in zip(values, counts)}
-    exceed = {float(t): float(np.mean(gmaxs >= float(t))) for t in thresholds}
+    exceed = {float(t): float(np.mean(paths.gmax >= float(t))) for t in thresholds}
     return EmpiricalLaw(n, freqs, exceed)
 
 
@@ -242,23 +284,25 @@ def tail_probability(
     stopping time.  ``conditioning`` provides a_minus/a_plus (a ContactRegion
     or anything with those attributes).  Returns (estimate, stderr).
 
-    The crossing is detected exactly from the step sequence: the visited set
-    of each step is the interval between its sampled extremes, and a level
-    touched only at the final stopping point does not count.
+    The crossing is read exactly from the pass's ranges: the visited set of
+    each step is the interval between its sampled extremes, and a level
+    touched only at the final stopping point does not count.  The paths are
+    those of ``empirical_law`` with the same (plan, n, seed), simulated once
+    for all levels and sides.
     """
     if gamma <= 0:
         raise InvalidParameterError(f"gamma must be positive, got {gamma}")
     if side not in ("below", "above"):
         raise InvalidParameterError(f"side must be 'below' or 'above', got {side!r}")
     level = -float(gamma) if side == "below" else float(gamma)
-    starts, _, _, _, crossed = _run_all(plan, n, seed, [level])
+    paths = _pass(plan, n, seed)
     if side == "below":
         bound = conditioning.a_minus
-        cond = starts >= (-math.inf if bound == -math.inf else float(bound))
+        cond = paths.start >= (-math.inf if bound == -math.inf else float(bound))
     else:
         bound = conditioning.a_plus
-        cond = starts <= (math.inf if bound == math.inf else float(bound))
-    hits = crossed[0] & cond
+        cond = paths.start <= (math.inf if bound == math.inf else float(bound))
+    hits = paths.crossed(level) & cond
     p = float(np.mean(hits))
     se = math.sqrt(p * (1.0 - p) / n)
     return p, se

@@ -167,3 +167,28 @@ def test_diagram_empty_plan(tmp_path):
     out = tmp_path / "d.svg"
     assert main(["diagram", "--spec", str(p), "--plan", str(plan_file), "--out", str(out)]) == 0
     assert b"stroke-dasharray" not in out.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "changes, extra, fld",
+    [
+        ({}, ["--paths", "-5"], "--paths"),
+        ({}, ["--paths", "0"], "--paths"),
+        ({}, ["--seed", "-1"], "--seed"),
+        ({}, ["--seed", str(2**128)], "--seed"),
+        ({"simulation": {"seed": -3}}, [], "simulation.seed"),
+        ({"simulation": {"gammas": 5}}, [], "simulation.gammas"),
+        ({"simulation": {"n_paths": "many"}}, [], "simulation.n_paths"),
+        ({"construction": {"type": "vallois", "eps": "abc"}}, [], "construction.eps"),
+    ],
+)
+def test_malformed_simulation_input_exit_2(spec_file, tmp_path, capsys, changes, extra, fld):
+    plan_file = tmp_path / "plan.json"
+    assert main(["build", "--spec", str(spec_file), "--out", str(plan_file)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(dict(SPEC, **changes)))
+    capsys.readouterr()
+    assert main(["verify", "--spec", str(bad), "--plan", str(plan_file), *extra]) == 2
+    err = capsys.readouterr().err
+    assert fld in err
+    assert "Traceback" not in err

@@ -1,3 +1,5 @@
+import gc
+import json
 import math
 from fractions import Fraction as F
 
@@ -22,6 +24,7 @@ from cwembed import (
     tv_distance,
     vallois_eps_plan,
 )
+from cwembed.cli import main
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -30,6 +33,11 @@ ASYM = AtomicMeasure.from_pairs([(-1, F(2, 3)), (2, F(1, 3))])
 TROUGH_PLAN = cw_run(D0, [Tangent.make(0, -1)], PM1, 0)
 LIFT_PLAN = cw_run(PM1, ay_sweep(PM1, D0), D0, 1)
 EMPTY_PLAN = cw_run(D0, [], D0, 0)
+WASTEFUL_PLAN = cw_run(
+    PM1, [Tangent.make(0, -2), Tangent.make(-1, -2), Tangent.make(1, -2)], D0, 2
+)
+AY_PLAN = cw_run(D0, ay_sweep(D0, ASYM), ASYM, 0)
+VALLOIS_PLAN = vallois_eps_plan(D0, PM1, F(1, 2), 200)
 
 
 class TestSamplePath:
@@ -80,28 +88,33 @@ class TestEmpiricalLaw:
         mean = sum(p * f for p, f in law.atom_frequencies.items())
         assert abs(mean - 0.0) <= 3 / math.sqrt(100_000)
 
-    def test_determinism_and_chunk_invariance(self):
+    def test_determinism_and_chunk_invariance(self, monkeypatch):
         a = empirical_law(TROUGH_PLAN, 30_000, seed=9, thresholds=[0.3])
+        monkeypatch.setattr(sim, "_memo", None)  # simulate again, not reread
         b = empirical_law(TROUGH_PLAN, 30_000, seed=9, thresholds=[0.3])
         assert a == b
-        old = sim._CHUNK
-        try:
-            sim._CHUNK = 777
-            c = empirical_law(TROUGH_PLAN, 30_000, seed=9, thresholds=[0.3])
-        finally:
-            sim._CHUNK = old
+        monkeypatch.setattr(sim, "_memo", None)
+        monkeypatch.setattr(sim, "_CHUNK", 777)
+        c = empirical_law(TROUGH_PLAN, 30_000, seed=9, thresholds=[0.3])
         assert a == c
 
     def test_batch_matches_single_paths(self):
-        starts, finals, gmaxs, gmins, _ = sim._run_all(TROUGH_PLAN, 500, 42, [])
+        paths = sim._run_all(TROUGH_PLAN, 500, 42)
         for i in [0, 1, 99, 499]:
             p = sample_path(TROUGH_PLAN, 42, i)
             assert (p.start, p.final, p.max, p.min) == (
-                starts[i],
-                finals[i],
-                gmaxs[i],
-                gmins[i],
+                paths.start[i],
+                paths.final[i],
+                paths.gmax[i],
+                paths.gmin[i],
             )
+
+    def test_n_validation_shared(self):
+        region = contact_region(D0, PM1)
+        with pytest.raises(InvalidParameterError):
+            empirical_law(TROUGH_PLAN, 0, seed=0)
+        with pytest.raises(InvalidParameterError):
+            tail_probability(TROUGH_PLAN, 1.0, "below", region, 0, seed=0)
 
 
 class TestMaxLaw:
@@ -186,18 +199,134 @@ class TestWithinStepExtremes:
         # P(max >= m) for first exit of (-1, 1) from 0: closed form (1+... the
         # race to m before -1 times the continuation is 1/(1+m) at threshold m
         n = 100_000
-        _, _, gmaxs, gmins, _ = sim._run_all(TROUGH_PLAN, n, 53, [])
+        paths = sim._run_all(TROUGH_PLAN, n, 53)
         for m in [0.2, 0.5, 0.8]:
             p = 1.0 / (1.0 + m)
             se = math.sqrt(p * (1 - p) / n)
-            assert abs(np.mean(gmaxs >= m) - p) <= 3 * se
-            assert abs(np.mean(gmins <= -m) - p) <= 3 * se
+            assert abs(np.mean(paths.gmax >= m) - p) <= 3 * se
+            assert abs(np.mean(paths.gmin <= -m) - p) <= 3 * se
 
     def test_semi_infinite_spike(self):
         # collapse from +1 to 0: P(max >= m) = 1/m for m >= 1
         n = 100_000
-        _, _, gmaxs, _, _ = sim._run_all(LIFT_PLAN, n, 59, [])
+        paths = sim._run_all(LIFT_PLAN, n, 59)
         for m in [2.0, 4.0]:
             p = 0.5 * (1.0 / m)  # only the mass starting at +1 spikes
             se = math.sqrt(p * (1 - p) / n)
-            assert abs(np.mean(gmaxs >= m) - p) <= 3 * se
+            assert abs(np.mean(paths.gmax >= m) - p) <= 3 * se
+
+
+def _reference_crossings(pd, u, levels):
+    """The per-level kernel the range-based crossing replaced: tc flags a
+    touch of the level in the last step the path moved in (at first, the
+    start), tb a touch in any earlier one."""
+    pos = pd.positions[np.searchsorted(pd.cum, u[:, 0], side="right")]
+    moved_any = np.zeros(len(pos), dtype=bool)
+    tb = [np.zeros(len(pos), dtype=bool) for _ in levels]
+    tc = [pos == lv for lv in levels]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k, (a, b) in enumerate(pd.steps):
+            ue = u[:, 1 + 3 * k]
+            vmax = 1.0 - u[:, 2 + 3 * k]
+            vmin = 1.0 - u[:, 3 + 3 * k]
+            inside = (pos > a) & (pos < b)
+            if math.isfinite(a) and math.isfinite(b):
+                to_lo = ue < (b - pos) / (b - a)
+                smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
+                smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
+                newpos = np.where(to_lo, a, b)
+                rng_hi = np.where(to_lo, smax, b)
+                rng_lo = np.where(to_lo, a, smin)
+            elif math.isinf(b):
+                newpos = np.full_like(pos, a)
+                rng_hi = a + (pos - a) / vmax
+                rng_lo = np.full_like(pos, a)
+            else:
+                newpos = np.full_like(pos, b)
+                rng_hi = np.full_like(pos, b)
+                rng_lo = b - (b - pos) / vmin
+            for j, lv in enumerate(levels):
+                touched = inside & (rng_lo <= lv) & (lv <= rng_hi)
+                tb[j] = np.where(inside, tb[j] | tc[j], tb[j])
+                tc[j] = np.where(inside, touched, tc[j])
+            pos = np.where(inside, newpos, pos)
+            moved_any |= inside
+    return [moved_any & (tb[j] | (tc[j] & (pos != lv))) for j, lv in enumerate(levels)]
+
+
+class TestRangeCrossings:
+    @pytest.mark.parametrize(
+        "plan",
+        [TROUGH_PLAN, LIFT_PLAN, WASTEFUL_PLAN, AY_PLAN, VALLOIS_PLAN],
+        ids=["trough", "lift", "wasteful", "azema-yor", "vallois"],
+    )
+    def test_matches_per_level_reference(self, plan):
+        pd = sim._PlanData(plan)
+        u = sim._stream(61, 0, pd.row_len).random((20_000, pd.row_len))
+        paths = sim._run_chunk(pd, u)
+        span = max(abs(x) for x in pd.positions.tolist() + [1.0])
+        levels = {x for st in pd.steps for x in st if math.isfinite(x)}
+        levels |= {float(x) for st in plan.steps for x in st.measure_after.positions}
+        levels |= {float(x) for m in (plan.mu0, plan.target) for x in m.positions}
+        levels |= {s * g * span for s in (-1, 1) for g in (2, 4, 8)}
+        levels = sorted(levels)
+        expected = _reference_crossings(pd, u, levels)
+        for lv, ref in zip(levels, expected):
+            assert np.array_equal(paths.crossed(lv), ref), lv
+        if plan is WASTEFUL_PLAN:
+            assert paths.crossed(-4.0).any()  # the leak the tail test measures
+
+
+class TestSharedPass:
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        calls = []
+        run_all = sim._run_all
+
+        def counting(plan, n, seed):
+            calls.append((n, seed))  # not the plan: the memo must not be the only holder
+            return run_all(plan, n, seed)
+
+        monkeypatch.setattr(sim, "_run_all", counting)
+        monkeypatch.setattr(sim, "_memo", None)
+        return calls
+
+    def test_verify_simulates_once(self, passes, tmp_path, capsys):
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps({
+            "mu0": [[0, 1.0]], "mu": [[-1, 0.5], [1, 0.5]],
+            "simulation": {"n_paths": 5000, "seed": 3, "gammas": [2, 4, 8],
+                           "thresholds": [0.5]},
+        }))
+        plan = tmp_path / "plan.json"
+        assert main(["build", "--spec", str(spec), "--out", str(plan)]) == 0
+        assert main(["verify", "--spec", str(spec), "--plan", str(plan)]) == 0
+        assert len(passes) == 1
+
+    def test_estimates_share_one_pass(self, passes):
+        region = contact_region(D0, PM1)
+        law = empirical_law(TROUGH_PLAN, 4_000, seed=5, thresholds=[0.5])
+        for gamma in (1.0, 2.0):
+            for side in ("below", "above"):
+                tail_probability(TROUGH_PLAN, gamma, side, region, 4_000, seed=5)
+        assert empirical_law(TROUGH_PLAN, 4_000, seed=5, thresholds=[0.5]) == law
+        assert len(passes) == 1
+
+    def test_new_key_new_pass(self, passes):
+        empirical_law(TROUGH_PLAN, 4_000, seed=5)
+        empirical_law(TROUGH_PLAN, 4_001, seed=5)
+        empirical_law(TROUGH_PLAN, 4_001, seed=6)
+        equal_plan = cw_run(D0, [Tangent.make(0, -1)], PM1, 0)
+        assert equal_plan == TROUGH_PLAN and equal_plan is not TROUGH_PLAN
+        empirical_law(equal_plan, 4_001, seed=6)
+        assert passes == [(4_000, 5), (4_001, 5), (4_001, 6), (4_001, 6)]
+        empirical_law(TROUGH_PLAN, 4_000, seed=5)  # only the last pass is kept
+        assert len(passes) == 5
+
+    def test_memo_does_not_keep_plan_alive(self, passes):
+        plan = cw_run(D0, [Tangent.make(0, -1)], PM1, 0)
+        empirical_law(plan, 1_000, seed=1)
+        assert sim._memo[0]() is plan
+        del plan
+        gc.collect()
+        assert sim._memo[0]() is None
