@@ -36,8 +36,6 @@ from .measure import (
     AtomicMeasure,
     PLConcave,
     gap_constant,
-    measure_from_potential,
-    potential_of,
     sup_difference,
 )
 from .minimality import (

@@ -8,6 +8,7 @@ preserve mass and shift the mean by -+ delta_m.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
@@ -47,16 +48,6 @@ class Interval:
         xf = frac(x)
         return (self.lower is None or xf >= self.lower) and (self.upper is None or xf <= self.upper)
 
-    def to_wire(self) -> list:
-        return [
-            None if self.lower is None else float(self.lower),
-            None if self.upper is None else float(self.upper),
-        ]
-
-    @classmethod
-    def from_wire(cls, data) -> "Interval":
-        return cls.make(data[0], data[1])
-
 
 def balayage_finite(m: AtomicMeasure, a: Real, b: Real) -> AtomicMeasure:
     """Sweep the mass of [a, b] onto {a, b} with the exit-probability weights
@@ -65,15 +56,13 @@ def balayage_finite(m: AtomicMeasure, a: Real, b: Real) -> AtomicMeasure:
     af, bf = frac(a), frac(b)
     if af >= bf:
         raise InvalidIntervalError(f"need a < b, got a={af}, b={bf}")
-    width = bf - af
-    pairs: list[tuple[Fraction, Fraction]] = []
-    for x, w in m.atoms:
-        if x < af or x > bf:
-            pairs.append((x, w))
-        else:
-            pairs.append((af, w * (bf - x) / width))
-            pairs.append((bf, w * (x - af) / width))
-    return AtomicMeasure.from_pairs(pairs)
+    i, j = bisect_left(m.positions, af), bisect_right(m.positions, bf)
+    swept = m.atoms[i:j]
+    mass = sum((w for _, w in swept), Fraction(0))
+    # the weights (b-x)/(b-a) summed over the swept atoms, in one division
+    at_a = (bf * mass - sum((w * x for x, w in swept), Fraction(0))) / (bf - af)
+    ends = tuple((x, w) for x, w in ((af, at_a), (bf, mass - at_a)) if w > 0)
+    return AtomicMeasure(m.atoms[:i] + ends + m.atoms[j:])
 
 
 def balayage_semi(m: AtomicMeasure, a: Real, side: Side) -> AtomicMeasure:

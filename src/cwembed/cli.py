@@ -14,8 +14,12 @@ Construction types: azema-yor, reversed-azema-yor, jacka,
 vallois (fields eps, max_steps), custom (fields tangents = [[slope,
 intercept], ...] and C).  The simulation block and its fields are optional.
 
-Exit codes: 0 ok; 2 parse error or input mismatch; 3 inadmissible or
-truncated construction; 4 verification failure.
+A plan file holds mu0, target, C and each step's slope and intercept as
+exact "p/q" strings; verify and diagram replay the tangents to rebuild the
+rest.  Its residual is a float for reading only.
+
+Exit codes: 0 ok; 2 parse error or input mismatch (the message names the
+field); 3 inadmissible or truncated construction; 4 verification failure.
 """
 
 from __future__ import annotations
@@ -38,8 +42,8 @@ from .construct import (
     vallois_eps_plan,
 )
 from .diagram import render_plan_svg
-from .errors import EmbedError, InadmissibleConstantError, ProblemSpecError
-from .measure import AtomicMeasure, gap_constant
+from .errors import EmbedError, InadmissibleConstantError, ProblemSpecError, field_errors
+from .measure import AtomicMeasure, frac, gap_constant
 
 _CONSTRUCTIONS = ("azema-yor", "reversed-azema-yor", "jacka", "vallois", "custom")
 
@@ -74,7 +78,7 @@ def _numbers(value, fld) -> list:
 
 def _path_count(value, fld) -> int:
     n = _convert(int, value, fld)
-    _require(n >= 1, f"must be >= 1, got {n}", fld)
+    _require(1 <= n <= simulate.MAX_PATHS, f"must be in [1, {simulate.MAX_PATHS}], got {n}", fld)
     return n
 
 
@@ -84,23 +88,28 @@ def _seed(value, fld) -> int:
     return seed
 
 
-def load_problem_spec(path) -> ProblemSpec:
+def _read_json(path):
     try:
-        raw = json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise ProblemSpecError(f"cannot read {path}: {exc}")
+        return json.loads(Path(path).read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
-        raise ProblemSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+        raise ProblemSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, too deep
+        raise ProblemSpecError(f"cannot read {path}: {exc}") from None
+
+
+def load_problem_spec(path) -> ProblemSpec:
+    raw = _read_json(path)
     _require(isinstance(raw, dict), "top level must be an object", "spec")
     for key in ("mu0", "mu"):
         _require(key in raw, "missing required field", key)
-    try:
+    with field_errors("mu0/mu"):
         mu0 = AtomicMeasure.from_wire(raw["mu0"])
         mu = AtomicMeasure.from_wire(raw["mu"])
-    except (TypeError, ValueError) as exc:
-        raise ProblemSpecError(str(exc), field="mu0/mu")
     _require(mu0.is_probability(), "mu0 must be a probability measure", "mu0")
     _require(mu.is_probability(), "mu must be a probability measure", "mu")
+    # float weights such as 2/3 and 1/3 sum to 1 only within MASS_TOL, and
+    # the exact potential algebra needs mass exactly 1
+    mu0, mu = (AtomicMeasure(tuple((x, w / m.total_mass) for x, w in m.atoms)) for m in (mu0, mu))
 
     con = raw.get("construction", {"type": "azema-yor"})
     _require(isinstance(con, dict) and "type" in con, "construction needs a type", "construction")
@@ -113,7 +122,10 @@ def load_problem_spec(path) -> ProblemSpec:
     if con["type"] == "custom":
         _require("tangents" in con and isinstance(con["tangents"], list),
                  "custom needs a tangent list", "construction.tangents")
-        _require("C" in con, "custom needs C", "construction.C")
+        with field_errors("construction.tangents"):
+            tangents = [Tangent.make(s, b) for s, b in con["tangents"]]
+        with field_errors("construction.C"):
+            con = dict(con, tangents=tangents, C=frac(con["C"]))
 
     sim = raw.get("simulation", {})
     _require(isinstance(sim, dict), "simulation must be an object", "simulation")
@@ -142,8 +154,7 @@ def build_plan(spec: ProblemSpec) -> EmbeddingPlan:
     if kind == "vallois":
         return vallois_eps_plan(spec.mu0, spec.mu, spec.construction["eps"],
                                 int(spec.construction.get("max_steps", 200)))
-    tangents = [Tangent.make(s, b) for s, b in spec.construction["tangents"]]
-    return cw_run(spec.mu0, tangents, spec.mu, spec.construction["C"])
+    return cw_run(spec.mu0, spec.construction["tangents"], spec.mu, spec.construction["C"])
 
 
 def _region_text(region) -> str:
@@ -220,13 +231,15 @@ def cmd_build(args) -> int:
     return 0
 
 
+def _load_plan(path) -> EmbeddingPlan:
+    """Read a plan file and replay it; any fault is a ProblemSpecError."""
+    with field_errors("cannot load plan"):
+        return EmbeddingPlan.from_wire(_read_json(path))
+
+
 def cmd_verify(args) -> int:
     spec = load_problem_spec(args.spec)
-    try:
-        plan = EmbeddingPlan.from_wire(json.loads(Path(args.plan).read_text(encoding="utf-8")))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot load plan: {exc}", file=sys.stderr)
-        return 2
+    plan = _load_plan(args.plan)
     if not (plan.mu0.close_to(spec.mu0) and plan.target.close_to(spec.mu)):
         print("error: plan measures do not match the problem spec", file=sys.stderr)
         return 2
@@ -289,12 +302,7 @@ def cmd_verify(args) -> int:
 
 def cmd_diagram(args) -> int:
     load_problem_spec(args.spec)  # validates the spec side
-    try:
-        plan = EmbeddingPlan.from_wire(json.loads(Path(args.plan).read_text(encoding="utf-8")))
-    except (OSError, json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
-        print(f"error: cannot load plan: {exc}", file=sys.stderr)
-        return 2
-    svg = render_plan_svg(plan)
+    svg = render_plan_svg(_load_plan(args.plan))
     try:
         Path(args.out).write_text(svg, encoding="utf-8")
     except OSError as exc:

@@ -20,7 +20,9 @@ from .errors import (
     IncompletePlanError,
     InvalidParameterError,
     InvalidTangentError,
+    ProblemSpecError,
     UndefinedBarycentreError,
+    field_errors,
 )
 from .measure import (
     VALUE_TOL,
@@ -72,21 +74,18 @@ class Step:
     potential_after: PLConcave
     noop: bool = False
 
-    def to_wire(self) -> dict:
-        return {
-            "slope": float(self.tangent.slope),
-            "intercept": float(self.tangent.intercept),
-            "interval": self.interval.to_wire() if self.interval else None,
-            "measure_after": self.measure_after.to_wire(),
-        }
-
 
 @dataclass(frozen=True)
 class EmbeddingPlan:
     """Ordered balayage steps carrying the target shift constant C and the
     residual sup-distance between the final potential and the shifted target
     potential.  A plan is complete when the residual vanishes (within
-    tolerance); only complete plans may be simulated."""
+    tolerance); only complete plans may be simulated.
+
+    The pair (mu0, target), C and the ordered tangents define a plan: every
+    interval, measure and potential follows from them by ``cw_run``.  The
+    wire form holds exactly those, and ``from_wire`` replays them.
+    """
 
     mu0: AtomicMeasure
     target: AtomicMeasure
@@ -107,28 +106,59 @@ class EmbeddingPlan:
         return self.steps[-1].potential_after if self.steps else self.mu0.potential()
 
     def to_wire(self) -> dict:
+        """JSON form: mu0, target, C and each step's slope and intercept as
+        exact "p/q" strings.  The residual is written as a float for people
+        to read; from_wire never reads it."""
         return {
             "mu0": self.mu0.to_wire(),
             "target": self.target.to_wire(),
-            "C": float(self.C),
+            "C": str(self.C),
             "residual": float(self.residual),
-            "steps": [s.to_wire() for s in self.steps],
+            "steps": [
+                {"slope": str(st.tangent.slope), "intercept": str(st.tangent.intercept)}
+                for st in self.steps
+            ],
         }
 
     @classmethod
     def from_wire(cls, data) -> "EmbeddingPlan":
-        mu0 = AtomicMeasure.from_wire(data["mu0"])
-        target = AtomicMeasure.from_wire(data["target"])
-        C = frac(data["C"])
-        g = mu0.potential()
-        steps = []
-        for sd in data["steps"]:
-            f = Tangent.make(sd["slope"], sd["intercept"])
-            iv = Interval.from_wire(sd["interval"])
-            g = _apply_tangent_potential(g, f, iv.lower, iv.upper)
-            steps.append(Step(f, iv, AtomicMeasure.from_wire(sd["measure_after"]), g))
-        residual = sup_difference(g, target.potential().shift(-C))
-        return cls(mu0, target, C, tuple(steps), residual)
+        """``cw_run(mu0, tangents, target, C)`` of a wire form; numbers may
+        also be JSON numbers, and other keys are ignored.  A malformed value,
+        an inadmissible C or a tangent that does not cut raises
+        ProblemSpecError naming the field."""
+
+        def read(obj, key, parse=frac, at=""):
+            with field_errors(at + key):
+                return parse(obj[key])
+
+        mu0, target = read(data, "mu0", _probability), read(data, "target", _probability)
+        tangents = []
+        for k, sd in enumerate(read(data, "steps", _wire_list)):
+            b = read(sd, "intercept", at=f"steps[{k}].")
+            tangents.append(read(sd, "slope", lambda s: Tangent(frac(s), b), f"steps[{k}]."))
+        try:
+            plan = cw_run(mu0, tangents, target, read(data, "C"))
+        except InadmissibleConstantError as exc:
+            raise ProblemSpecError(str(exc), field="C") from None
+        k = next((k for k, st in enumerate(plan.steps) if st.tangent != tangents[k]),
+                 len(plan.steps))
+        if k < len(tangents):
+            raise ProblemSpecError("tangent does not cut the running potential",
+                                   field=f"steps[{k}]")
+        return plan
+
+
+def _probability(data) -> AtomicMeasure:
+    m = AtomicMeasure.from_wire(data)
+    if not m.is_probability():
+        raise ValueError(f"total mass {m.total_mass} is not 1")
+    return m
+
+
+def _wire_list(data) -> list:
+    if not isinstance(data, list):
+        raise TypeError(f"expected a list, got {type(data).__name__}")
+    return data
 
 
 # ---------------------------------------------------------------------------
@@ -136,62 +166,34 @@ class EmbeddingPlan:
 
 
 def _cut_interval(g: PLConcave, f: Tangent):
-    """Open interval {x : f(x) < g(x)} of the concave difference g - f.
+    """Open interval {x : f(x) < g(x)} of the concave difference d = g - f.
 
     Returns (lo, hi) with None for an infinite endpoint, or None when the set
-    is empty; raises InvalidTangentError when the set is all of R.
+    is empty; raises InvalidTangentError when the set is all of R.  Each
+    finite endpoint is the zero of d on the segment or ray where d changes
+    sign, found from a breakpoint of that piece and its slope.
     """
-    xs = g.xs
-    if not xs:
-        d0 = g.evaluate(0) - f(0)
-        sl = g.left_slope - f.slope
-        if sl == 0:
-            if d0 > 0:
-                raise InvalidTangentError("tangent strictly below an affine potential everywhere")
-            return None
-        x_cross = -d0 / sl  # zero of d(x) = d0 + sl*x
-        return (x_cross, None) if sl > 0 else (None, x_cross)
+    if g.xs:
+        xs, slopes = g.xs, g.slopes
+        ds = [v - f(x) for x, v in zip(xs, g.values)]
+    else:  # affine: two rays of one slope meeting at 0
+        xs, slopes = (Fraction(0),), g.slopes * 2
+        ds = [g.evaluate(0) - f(0)]
 
-    ds = [g.values[i] - f(x) for i, x in enumerate(xs)]
-    sl_left = g.left_slope - f.slope
-    sl_right = g.right_slope - f.slope
+    def zero(i, k):  # zero of d on piece k (k-th slope), through breakpoint i
+        return xs[i] - ds[i] / (slopes[k] - f.slope)
+
+    sl_left, sl_right = slopes[0] - f.slope, slopes[-1] - f.slope
     pos_left = sl_left < 0 or (sl_left == 0 and ds[0] > 0)
     pos_right = sl_right > 0 or (sl_right == 0 and ds[-1] > 0)
-    any_pos = pos_left or pos_right or any(d > 0 for d in ds)
-    if not any_pos:
-        return None
     if pos_left and pos_right:
         raise InvalidTangentError("tangent strictly below the potential everywhere")
-
-    if pos_left:
-        lo = None
-    elif ds[0] > 0:
-        lo = xs[0] - ds[0] / sl_left  # sl_left > 0 here
-    else:
-        j = next((i for i, d in enumerate(ds) if d > 0), None)
-        if j is not None:
-            if ds[j - 1] == 0:
-                lo = xs[j - 1]
-            else:
-                lo = xs[j - 1] - ds[j - 1] * (xs[j] - xs[j - 1]) / (ds[j] - ds[j - 1])
-        else:
-            # positive only beyond the last breakpoint
-            lo = xs[-1] - ds[-1] / sl_right
-
-    if pos_right:
-        hi = None
-    elif ds[-1] > 0:
-        hi = xs[-1] - ds[-1] / sl_right  # sl_right < 0 here
-    else:
-        j = next((i for i in range(len(ds) - 1, -1, -1) if ds[i] > 0), None)
-        if j is not None:
-            if ds[j + 1] == 0:
-                hi = xs[j + 1]
-            else:
-                hi = xs[j] + ds[j] * (xs[j + 1] - xs[j]) / (ds[j] - ds[j + 1])
-        else:
-            # positive only before the first breakpoint
-            hi = xs[0] - ds[0] / sl_left
+    pos = [i for i, d in enumerate(ds) if d > 0]
+    if not (pos or pos_left or pos_right):
+        return None
+    n = len(xs)
+    lo = None if pos_left else zero(pos[0], pos[0]) if pos else zero(n - 1, n)
+    hi = None if pos_right else zero(pos[-1], pos[-1] + 1) if pos else zero(0, 0)
     return lo, hi
 
 

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+from contextlib import contextmanager
+
 
 class EmbedError(ValueError):
     """Base class for all cwembed errors."""
@@ -38,10 +40,20 @@ class InvalidParameterError(EmbedError):
 
 
 class ProblemSpecError(EmbedError):
-    """Problem specification file failed to parse or validate."""
+    """A problem spec or plan file failed to parse or validate."""
 
     def __init__(self, message, field=None):
         self.field = field
         if field is not None:
             message = f"{field}: {message}"
         super().__init__(message)
+
+
+@contextmanager
+def field_errors(field):
+    """Raise a failure to read or convert a value inside the block as a
+    ProblemSpecError naming ``field``."""
+    try:
+        yield
+    except (LookupError, TypeError, ValueError, ArithmeticError) as exc:
+        raise ProblemSpecError("missing" if isinstance(exc, KeyError) else exc, field) from None

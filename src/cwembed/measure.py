@@ -164,12 +164,14 @@ class AtomicMeasure:
 
     # -- wire format -------------------------------------------------------
 
-    def to_wire(self) -> list[list[float]]:
-        """Canonical JSON form: ascending [position, weight] pairs."""
-        return [[float(x), float(w)] for x, w in self.atoms]
+    def to_wire(self) -> list[list[str]]:
+        """Canonical JSON form: ascending [position, weight] pairs, each an
+        exact "p/q" string, so reading it back gives this measure."""
+        return [[str(x), str(w)] for x, w in self.atoms]
 
     @classmethod
     def from_wire(cls, data) -> "AtomicMeasure":
+        """Inverse of to_wire; numbers are accepted too and convert exactly."""
         return cls.from_pairs(data)
 
 
@@ -279,14 +281,11 @@ class PLConcave:
         return AtomicMeasure(tuple((x, d / 2) for x, d in self.breakpoints))
 
 
-def potential_of(m: AtomicMeasure) -> PLConcave:
-    """Module-level alias of :meth:`AtomicMeasure.potential`."""
-    return m.potential()
-
-
-def measure_from_potential(f: PLConcave) -> AtomicMeasure:
-    """Module-level alias of :meth:`PLConcave.measure`."""
-    return f.measure()
+def kink_probes(*fns: PLConcave) -> list[Fraction]:
+    """The union of the breakpoints of ``fns`` plus one point beyond each
+    end, where all of them are affine; [0] when none has a breakpoint."""
+    xs = sorted(set().union(*(f.xs for f in fns)))
+    return [xs[0] - 1, *xs, xs[-1] + 1] if xs else [Fraction(0)]
 
 
 def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
@@ -304,11 +303,7 @@ def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
         or abs(f.right_slope - g.right_slope) > SLOPE_TOL
     ):
         raise ValueError("sup difference is unbounded: extreme slopes differ")
-    xs = sorted(set(f.xs) | set(g.xs))
-    if not xs:
-        return abs(f.evaluate(0) - g.evaluate(0))
-    probes = [xs[0] - 1] + xs + [xs[-1] + 1]
-    return max(abs(f.evaluate(x) - g.evaluate(x)) for x in probes)
+    return max(abs(f.evaluate(x) - g.evaluate(x)) for x in kink_probes(f, g))
 
 
 def gap_constant(mu0: AtomicMeasure, target: AtomicMeasure) -> Fraction:
@@ -319,8 +314,4 @@ def gap_constant(mu0: AtomicMeasure, target: AtomicMeasure) -> Fraction:
     for probability measures.
     """
     u0, ut = mu0.potential(), target.potential()
-    xs = sorted(set(u0.xs) | set(ut.xs))
-    if not xs:
-        return ut.evaluate(0) - u0.evaluate(0)
-    probes = [xs[0] - 1] + xs + [xs[-1] + 1]
-    return max(ut.evaluate(x) - u0.evaluate(x) for x in probes)
+    return max(ut.evaluate(x) - u0.evaluate(x) for x in kink_probes(u0, ut))

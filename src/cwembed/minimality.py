@@ -14,7 +14,7 @@ from typing import Sequence, Union
 from . import simulate
 from .construct import EmbeddingPlan, ay_sweep, cw_run, tangent_ratio_min
 from .errors import IncompletePlanError
-from .measure import AtomicMeasure, Real, frac, gap_constant
+from .measure import AtomicMeasure, Real, frac, gap_constant, kink_probes
 
 __all__ = [
     "ContactRegion",
@@ -118,19 +118,15 @@ def contact_region(mu0: AtomicMeasure, target: AtomicMeasure) -> ContactRegion:
     """
     C = gap_constant(mu0, target)
     u0, ut = mu0.potential(), target.potential()
-    xs = sorted(set(u0.xs) | set(ut.xs))
-    if not xs:
+    probes = kink_probes(u0, ut)
+    if len(probes) == 1:
         return ContactRegion((((-math.inf), math.inf),))
-
-    def d(x):
-        return ut.evaluate(x) - C - u0.evaluate(x)
-
-    vals = [d(x) for x in xs]
-    left_flat = d(xs[0] - 1) == 0  # rays are constant for probability pairs
-    right_flat = d(xs[-1] + 1) == 0
+    # the end probes stand for the rays, constant for probability pairs
+    d_left, *vals, d_right = [ut.evaluate(x) - C - u0.evaluate(x) for x in probes]
+    xs = probes[1:-1]
 
     components: list[list[Endpoint]] = []
-    if left_flat:
+    if d_left == 0:
         components.append([-math.inf, xs[0]])
 
     def extend(lo, hi):
@@ -144,7 +140,7 @@ def contact_region(mu0: AtomicMeasure, target: AtomicMeasure) -> ContactRegion:
             extend(x, x)
             if i + 1 < len(xs) and vals[i + 1] == 0:
                 extend(x, xs[i + 1])
-    if right_flat:
+    if d_right == 0:
         extend(xs[-1], math.inf)
     return ContactRegion(tuple((lo, hi) for lo, hi in components))
 

@@ -38,6 +38,10 @@ from .measure import AtomicMeasure
 #: positions closer than this are treated as the same atom when matching laws
 ATOM_TOL = 1e-9
 
+#: most paths one pass simulates: its per-path arrays take 49 bytes a path,
+#: so a pass at the ceiling holds about 0.5 GB
+MAX_PATHS = 10**7
+
 _CHUNK = 1 << 15
 
 
@@ -79,7 +83,6 @@ class _PlanData:
             )
             for st in plan.steps
         ]
-        self.intervals = [st.interval for st in plan.steps]
         n_draws = 1 + 3 * len(self.steps)
         self.row_len = ((n_draws + 3) // 4) * 4
 
@@ -188,8 +191,8 @@ def _pass(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
     """The paths of (plan, n, seed), simulated once and shared by every
     estimate that asks for the same triple next."""
     global _memo
-    if n < 1:
-        raise InvalidParameterError(f"n must be at least 1, got {n}")
+    if not 1 <= n <= MAX_PATHS:
+        raise InvalidParameterError(f"n must be in [1, {MAX_PATHS}], got {n}")
     memo = _memo
     if memo is not None and memo[0]() is plan and memo[1:3] == (n, seed):
         return memo[3]
@@ -230,7 +233,7 @@ def sample_path(plan: EmbeddingPlan, seed: int, index: int) -> PathSample:
             lo = min(lo, b - (b - pos) / vmin)
             pos = b
         hi, lo = max(hi, pos), min(lo, pos)
-        exits.append((pd.intervals[k], pos))
+        exits.append((plan.steps[k].interval, pos))
     return PathSample(start, tuple(exits), pos, hi, lo)
 
 

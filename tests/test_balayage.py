@@ -155,11 +155,6 @@ class TestPotentialIdentities:
 
 
 class TestInterval:
-    def test_wire(self):
-        iv = Interval.make(None, F(1, 2))
-        assert iv.to_wire() == [None, 0.5]
-        assert Interval.from_wire(iv.to_wire()) == iv
-
     def test_both_infinite_rejected(self):
         with pytest.raises(InvalidIntervalError):
             Interval(None, None)

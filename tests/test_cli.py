@@ -1,6 +1,11 @@
+import contextlib
+import io
 import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cwembed.cli import main
 
@@ -56,7 +61,7 @@ def test_build_verify_round_trip(spec_file, tmp_path, capsys):
     plan_file = tmp_path / "plan.json"
     assert main(["build", "--spec", str(spec_file), "--out", str(plan_file)]) == 0
     plan = json.loads(plan_file.read_text())
-    assert plan["C"] == 1.0 and len(plan["steps"]) == 2
+    assert plan["C"] == "1" and len(plan["steps"]) == 2
 
     assert main(["verify", "--spec", str(spec_file), "--plan", str(plan_file)]) == 0
     out = capsys.readouterr().out
@@ -180,6 +185,15 @@ def test_diagram_empty_plan(tmp_path):
         ({"simulation": {"gammas": 5}}, [], "simulation.gammas"),
         ({"simulation": {"n_paths": "many"}}, [], "simulation.n_paths"),
         ({"construction": {"type": "vallois", "eps": "abc"}}, [], "construction.eps"),
+        ({"construction": {"type": "custom", "tangents": [[1]], "C": 1}}, [],
+         "construction.tangents"),
+        ({"construction": {"type": "custom", "tangents": [[math.nan, 0]], "C": 1}}, [],
+         "construction.tangents"),
+        ({"construction": {"type": "custom", "tangents": [], "C": "x"}}, [], "construction.C"),
+        ({"mu0": [[-1, 0.5], [math.inf, 0.5]]}, [], "mu0/mu"),
+        ({"mu": [[0, math.inf]]}, [], "mu0/mu"),
+        ({"simulation": {"n_paths": 1e20}}, [], "simulation.n_paths"),
+        ({}, ["--paths", str(10**7 + 1)], "--paths"),
     ],
 )
 def test_malformed_simulation_input_exit_2(spec_file, tmp_path, capsys, changes, extra, fld):
@@ -192,3 +206,123 @@ def test_malformed_simulation_input_exit_2(spec_file, tmp_path, capsys, changes,
     err = capsys.readouterr().err
     assert fld in err
     assert "Traceback" not in err
+
+
+FOUR_SPEC = dict(SPEC, mu0=[[0, 1.0]], mu=[[-2, 0.25], [-1, 0.25], [1, 0.25], [2, 0.25]],
+                 simulation={"n_paths": 2000, "seed": 1, "gammas": [4]})
+
+
+@pytest.fixture(scope="module")
+def four_files(tmp_path_factory):
+    """A spec and the azema-yor plan built from it (several steps)."""
+    d = tmp_path_factory.mktemp("four")
+    spec, plan = d / "spec.json", d / "plan.json"
+    spec.write_text(json.dumps(FOUR_SPEC))
+    assert main(["build", "--spec", str(spec), "--out", str(plan)]) == 0
+    return spec, json.loads(plan.read_text())
+
+
+def _run_with_plan(spec, wire, path, command="verify"):
+    path.write_text(json.dumps(wire))
+    out = ["--out", str(path.with_suffix(".svg"))] if command == "diagram" else []
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main([command, "--spec", str(spec), "--plan", str(path), *out])
+    return rc, err.getvalue()
+
+
+def _set(path, value):
+    def edit(wire):
+        *keys, last = path
+        obj = wire
+        for k in keys:
+            obj = obj[k]
+        obj[last] = value
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, fld",
+    [
+        (lambda w: w.pop("mu0"), "mu0"),
+        (_set(["target"], [[0, 2]]), "target"),
+        (_set(["C"], "one"), "C"),
+        (_set(["C"], "-1"), "C"),
+        (_set(["steps"], {}), "steps"),
+        (_set(["steps", 1, "slope"], [1]), "steps[1].slope"),
+        (_set(["steps", 1, "slope"], "3"), "steps[1].slope"),
+        (_set(["steps", 0, "intercept"], "1/0"), "steps[0].intercept"),
+        (lambda w: w["steps"][2].pop("intercept"), "steps[2].intercept"),
+        (lambda w: w["steps"].insert(2, dict(w["steps"][1])), "steps[2]"),
+    ],
+)
+@pytest.mark.parametrize("command", ["verify", "diagram"])
+def test_malformed_plan_exit_2(four_files, tmp_path, edit, fld, command):
+    spec, wire = four_files
+    wire = json.loads(json.dumps(wire))
+    edit(wire)
+    rc, err = _run_with_plan(spec, wire, tmp_path / "plan.json", command)
+    assert rc == 2
+    assert f"cannot load plan: {fld}:" in err
+    assert "Traceback" not in err
+
+
+_JUNK = [None, True, 2, -5, 1.5, math.nan, "x", "1/0", "", [], [[1]], {}]
+
+
+@st.composite
+def _plan_edits(draw):
+    """A list of edits to a plan's JSON: drop a key, change a value's type,
+    NaN, repeat a step (its tangent then cuts nothing) or reorder the steps."""
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["drop", "retype", "repeat", "reorder"]))
+        where = draw(st.sampled_from(["plan", "step"]))
+        k = draw(st.integers(0, 9))
+        key = draw(st.sampled_from(["mu0", "target", "C", "steps", "residual"] if where == "plan"
+                                   else ["slope", "intercept"]))
+        junk = draw(st.sampled_from(_JUNK))
+        order = draw(st.permutations(range(10)))
+        edits.append((kind, where, k, key, junk, order))
+    return edits
+
+
+def _apply(wire, edits):
+    for kind, where, k, key, junk, order in edits:
+        steps = wire.get("steps")
+        if kind == "reorder" and isinstance(steps, list):
+            wire["steps"] = [steps[i] for i in order if i < len(steps)]
+        elif kind == "repeat" and isinstance(steps, list) and steps:
+            steps.insert(k % len(steps), steps[k % len(steps)])
+        elif where == "plan" or (isinstance(steps, list) and steps
+                                 and isinstance(steps[k % len(steps)], dict)):
+            obj = wire if where == "plan" else steps[k % len(steps)]
+            if kind == "drop":
+                obj.pop(key, None)
+            else:
+                obj[key] = junk
+
+
+@given(edits=_plan_edits())
+@settings(max_examples=25, deadline=None)
+def test_plan_fuzz_exit_codes(four_files, tmp_path_factory, edits):
+    spec, wire = four_files
+    wire = json.loads(json.dumps(wire))
+    _apply(wire, edits)
+    rc, err = _run_with_plan(spec, wire, tmp_path_factory.mktemp("fuzz") / "plan.json")
+    assert rc in {0, 2, 3, 4}
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("content", [b"\xff\xfe{", b"[" * 100_000 + b"]" * 100_000])
+@pytest.mark.parametrize("role", ["--spec", "--plan"])
+def test_unreadable_json_exit_2(spec_file, tmp_path, capsys, content, role):
+    plan_file = tmp_path / "plan.json"
+    assert main(["build", "--spec", str(spec_file), "--out", str(plan_file)]) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(content)
+    files = {"--spec": str(spec_file), "--plan": str(plan_file), role: str(bad)}
+    capsys.readouterr()
+    assert main(["verify", *[a for kv in files.items() for a in kv]]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {bad}" in err and "Traceback" not in err

@@ -1,15 +1,21 @@
+import json
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import probe_points, random_prob_measure
 from cwembed import (
     AtomicMeasure,
+    EmbeddingPlan,
     InadmissibleConstantError,
     IncompletePlanError,
+    Interval,
     InvalidParameterError,
     InvalidTangentError,
+    ProblemSpecError,
     Tangent,
     UndefinedBarycentreError,
     ay_sweep,
@@ -20,7 +26,6 @@ from cwembed import (
     gap_constant,
     jacka_plan,
     plan_shift_constants,
-    potential_of,
     reversed_ay_sweep,
     sup_difference,
     vallois_eps_plan,
@@ -106,8 +111,8 @@ class TestCwRun:
             for st, c in zip(plan.steps, cs):
                 if st.interval.is_finite:
                     pass
-                # potential_after == potential_of(measure_after) - c, everywhere
-                u = potential_of(st.measure_after).shift(-c)
+                # potential_after == measure_after.potential() - c, everywhere
+                u = st.measure_after.potential().shift(-c)
                 assert sup_difference(u, st.potential_after) == 0
 
 
@@ -284,6 +289,20 @@ class TestBarycentre:
         assert vals == sorted(vals)
 
 
+PLANS = {
+    "azema-yor": lambda mu0, mu: cw_run(mu0, ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)),
+    "reversed-azema-yor": lambda mu0, mu: cw_run(
+        mu0, reversed_ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)
+    ),
+    "jacka": jacka_plan,
+    "vallois": lambda mu0, mu: vallois_eps_plan(mu0, mu, F(1, 4), 6),
+}
+
+
+def json_round_trip(plan):
+    return EmbeddingPlan.from_wire(json.loads(json.dumps(plan.to_wire())))
+
+
 class TestPlanWire:
     def test_round_trip(self):
         plan = cw_run(PM1, ay_sweep(PM1, D0), D0, 1)
@@ -292,3 +311,38 @@ class TestPlanWire:
         assert len(again.steps) == len(plan.steps)
         assert again.complete
         assert again.to_wire() == plan.to_wire()
+
+    @given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(PLANS)))
+    @settings(max_examples=40, deadline=None)
+    def test_exact_round_trip(self, seed, kind):
+        rng = random.Random(seed)
+        mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
+        plan = PLANS[kind](mu0, mu)
+        again = json_round_trip(plan)
+        assert again.C == plan.C
+        assert [s.tangent for s in again.steps] == [s.tangent for s in plan.steps]
+        assert [s.interval for s in again.steps] == [s.interval for s in plan.steps]
+        assert again.residual == plan.residual
+        if plan.residual == 0:
+            assert again.final_measure == mu
+
+    def test_stored_interval_is_not_read(self):
+        # the worked +-1 -> 0 plan; its first cut is (-inf, 0)
+        plan = cw_run(PM1, ay_sweep(PM1, D0), D0, 1)
+        assert plan.steps[0].interval == Interval(None, F(0))
+        wire = json.loads(json.dumps(plan.to_wire()))
+        wire["steps"][0]["interval"] = [-100, 0]
+        assert EmbeddingPlan.from_wire(wire) == plan
+
+    def test_stored_measure_is_not_read(self):
+        plan = cw_run(D0, ay_sweep(D0, FOUR), FOUR, 0)
+        wire = json.loads(json.dumps(plan.to_wire()))
+        wire["steps"][-1]["measure_after"] = [["0", "1"]]
+        again = EmbeddingPlan.from_wire(wire)
+        assert again == plan and again.final_measure == FOUR
+
+    def test_non_cutting_tangent_rejected(self):
+        wire = cw_run(D0, ay_sweep(D0, FOUR), FOUR, 0).to_wire()
+        wire["steps"].insert(2, dict(wire["steps"][1]))  # cuts nothing the second time
+        with pytest.raises(ProblemSpecError, match=r"steps\[2\]"):
+            EmbeddingPlan.from_wire(wire)

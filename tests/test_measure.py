@@ -12,8 +12,6 @@ from cwembed import (
     MalformedPotentialError,
     PLConcave,
     gap_constant,
-    measure_from_potential,
-    potential_of,
     sup_difference,
 )
 
@@ -42,7 +40,7 @@ measures = st.builds(
 
 class TestPotential:
     def test_point_mass(self):
-        u = potential_of(D0)
+        u = D0.potential()
         for x in [-3, -1, 0, F(1, 2), 2, 10]:
             assert u.evaluate(x) == -abs(F(x))
 
@@ -122,24 +120,24 @@ class TestMean:
 class TestMeasureFromPotential:
     def test_point_mass(self):
         u = PLConcave(F(1), ((F(0), F(2)),), (F(0), F(0)))
-        assert measure_from_potential(u) == D0
+        assert u.measure() == D0
 
     def test_flat_trough(self):
         u = PLConcave(F(1), ((F(-1), F(1)), (F(1), F(1))), (F(-1), F(-1)))
-        assert measure_from_potential(u) == PM1
+        assert u.measure() == PM1
 
     def test_round_trip(self):
-        assert measure_from_potential(potential_of(ASYM)) == ASYM
+        assert ASYM.potential().measure() == ASYM
 
     def test_malformed(self):
         lopsided = PLConcave(F(1), ((F(0), F(1)),), (F(0), F(0)))  # right slope 0
         with pytest.raises(MalformedPotentialError):
-            measure_from_potential(lopsided)
+            lopsided.measure()
 
     @given(measures)
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, m):
-        assert measure_from_potential(potential_of(m)) == m
+        assert m.potential().measure() == m
 
 
 class TestSplit:

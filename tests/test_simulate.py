@@ -116,6 +116,19 @@ class TestEmpiricalLaw:
         with pytest.raises(InvalidParameterError):
             tail_probability(TROUGH_PLAN, 1.0, "below", region, 0, seed=0)
 
+    def test_path_ceiling_checked_before_allocating(self, monkeypatch):
+        def allocate(plan, n, seed):
+            raise AssertionError(f"allocated {n} paths")
+
+        monkeypatch.setattr(sim, "_run_all", allocate)
+        monkeypatch.setattr(sim, "_memo", None)
+        region = contact_region(D0, PM1)
+        for n in (sim.MAX_PATHS + 1, 10**20):
+            with pytest.raises(InvalidParameterError):
+                empirical_law(TROUGH_PLAN, n, seed=0)
+            with pytest.raises(InvalidParameterError):
+                tail_probability(TROUGH_PLAN, 1.0, "below", region, n, seed=0)
+
 
 class TestMaxLaw:
     def test_matches_analytic_race(self):
