@@ -14,6 +14,11 @@ Construction types: azema-yor, reversed-azema-yor, jacka,
 vallois (fields eps, max_steps), custom (fields tangents = [[slope,
 intercept], ...] and C).  The simulation block and its fields are optional.
 
+Every JSON number is the decimal it spells: 0.3 is exactly 3/10.  Weights
+that miss mass 1 by at most 1e-12, such as 0.6666666666666666 and
+0.3333333333333333, are rescaled to mass exactly 1.  Counts and seeds must
+be integral numbers (1e5 is one).
+
 A plan file holds mu0, target, C and each step's slope and intercept as
 exact "p/q" strings; verify and diagram replay the tangents to rebuild the
 rest.  Its residual is a float for reading only.
@@ -29,6 +34,8 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 from . import minimality, simulate
@@ -43,7 +50,7 @@ from .construct import (
 )
 from .diagram import render_plan_svg
 from .errors import EmbedError, InadmissibleConstantError, ProblemSpecError, field_errors
-from .measure import AtomicMeasure, frac, gap_constant
+from .measure import MASS_TOL, AtomicMeasure, frac, gap_constant
 
 _CONSTRUCTIONS = ("azema-yor", "reversed-azema-yor", "jacka", "vallois", "custom")
 
@@ -64,36 +71,50 @@ def _require(cond, message, fld):
         raise ProblemSpecError(message, field=fld)
 
 
-def _convert(kind, value, fld):
-    try:
-        return kind(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ProblemSpecError(f"expected {kind.__name__}, got {value!r}", field=fld) from None
-
-
 def _numbers(value, fld) -> list:
     _require(isinstance(value, list), f"expected a list of numbers, got {value!r}", fld)
-    return [_convert(float, v, fld) for v in value]
+    with field_errors(fld):
+        numbers = [float(v) for v in value]
+    _require(all(map(math.isfinite, numbers)), "numbers must be finite", fld)
+    return numbers
+
+
+def _integer(value, fld) -> int:
+    """An integral JSON number: 7 and 1e5 are, 7.5, true and "7" are not."""
+    integral = (isinstance(value, int) and not isinstance(value, bool)
+                or isinstance(value, Fraction) and value.denominator == 1)
+    shown = float(value) if isinstance(value, Fraction) else value
+    _require(integral, f"expected an integer, got {json.dumps(shown)}", fld)
+    return int(value)
 
 
 def _path_count(value, fld) -> int:
-    n = _convert(int, value, fld)
+    n = _integer(value, fld)
     _require(1 <= n <= simulate.MAX_PATHS, f"must be in [1, {simulate.MAX_PATHS}], got {n}", fld)
     return n
 
 
 def _seed(value, fld) -> int:
-    seed = _convert(int, value, fld)
+    seed = _integer(value, fld)
     _require(0 <= seed < 2**128, f"must be in [0, 2**128), got {seed}", fld)
     return seed
 
 
+def _decimal(text: str) -> Fraction:
+    """The exact value of a JSON number with a fraction or exponent; it must be
+    0 or in a double's range (1e400, 1e-400 are not): no huge power of ten."""
+    x, d = float(text), Decimal(text)
+    if not math.isfinite(x) or (x == 0) != d.is_zero():
+        raise ValueError(f"number {text} is out of range")
+    return Fraction(d)
+
+
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"))
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_decimal)
     except json.JSONDecodeError as exc:
         raise ProblemSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except (OSError, ValueError, RecursionError) as exc:  # unreadable, not UTF-8, too deep
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8 or number, too deep
         raise ProblemSpecError(f"cannot read {path}: {exc}") from None
 
 
@@ -105,20 +126,22 @@ def load_problem_spec(path) -> ProblemSpec:
     with field_errors("mu0/mu"):
         mu0 = AtomicMeasure.from_wire(raw["mu0"])
         mu = AtomicMeasure.from_wire(raw["mu"])
-    _require(mu0.is_probability(), "mu0 must be a probability measure", "mu0")
-    _require(mu.is_probability(), "mu must be a probability measure", "mu")
-    # float weights such as 2/3 and 1/3 sum to 1 only within MASS_TOL, and
-    # the exact potential algebra needs mass exactly 1
+    for key, m in (("mu0", mu0), ("mu", mu)):
+        _require(abs(m.total_mass - 1) <= MASS_TOL, f"{key} must be a probability measure", key)
+    # decimals such as 0.6666666666666666 and 0.3333333333333333 sum to 1
+    # only within MASS_TOL, and a pair needs mass exactly 1
     mu0, mu = (AtomicMeasure(tuple((x, w / m.total_mass) for x, w in m.atoms)) for m in (mu0, mu))
 
     con = raw.get("construction", {"type": "azema-yor"})
     _require(isinstance(con, dict) and "type" in con, "construction needs a type", "construction")
     _require(con["type"] in _CONSTRUCTIONS, f"unknown type {con['type']!r}", "construction.type")
     if con["type"] == "vallois":
-        _require("eps" in con and _convert(float, con["eps"], "construction.eps") > 0,
-                 "vallois needs eps > 0", "construction.eps")
-        _require(_convert(int, con.get("max_steps", 0), "construction.max_steps") >= 0,
-                 "max_steps must be >= 0", "construction.max_steps")
+        with field_errors("construction.eps"):
+            eps = frac(con["eps"])
+        _require(eps > 0, "vallois needs eps > 0", "construction.eps")
+        max_steps = _integer(con.get("max_steps", 200), "construction.max_steps")
+        _require(max_steps >= 0, "max_steps must be >= 0", "construction.max_steps")
+        con = dict(con, eps=eps, max_steps=max_steps)
     if con["type"] == "custom":
         _require("tangents" in con and isinstance(con["tangents"], list),
                  "custom needs a tangent list", "construction.tangents")
@@ -129,9 +152,8 @@ def load_problem_spec(path) -> ProblemSpec:
 
     sim = raw.get("simulation", {})
     _require(isinstance(sim, dict), "simulation must be an object", "simulation")
-    span = max(
-        [abs(float(x)) for x, _ in mu0.atoms] + [abs(float(x)) for x, _ in mu.atoms] + [1.0]
-    )
+    with field_errors("mu0/mu"):  # positions must fit a double
+        span = max([abs(float(x)) for x in mu0.positions + mu.positions] + [1.0])
     gammas = _numbers(sim.get("gammas", [2 * span, 4 * span, 8 * span]), "simulation.gammas")
     _require(all(g > 0 for g in gammas), "gammas must be positive", "simulation.gammas")
     thresholds = _numbers(sim.get("thresholds", [float(x) for x in mu.positions]),
@@ -143,35 +165,25 @@ def load_problem_spec(path) -> ProblemSpec:
 
 def build_plan(spec: ProblemSpec) -> EmbeddingPlan:
     kind = spec.construction["type"]
-    if kind == "azema-yor":
-        return cw_run(spec.mu0, ay_sweep(spec.mu0, spec.mu), spec.mu,
-                      gap_constant(spec.mu0, spec.mu))
-    if kind == "reversed-azema-yor":
-        return cw_run(spec.mu0, reversed_ay_sweep(spec.mu0, spec.mu), spec.mu,
-                      gap_constant(spec.mu0, spec.mu))
+    if kind in ("azema-yor", "reversed-azema-yor"):
+        sweep = ay_sweep if kind == "azema-yor" else reversed_ay_sweep
+        return cw_run(spec.mu0, sweep(spec.mu0, spec.mu), spec.mu, gap_constant(spec.mu0, spec.mu))
     if kind == "jacka":
         return jacka_plan(spec.mu0, spec.mu)
     if kind == "vallois":
         return vallois_eps_plan(spec.mu0, spec.mu, spec.construction["eps"],
-                                int(spec.construction.get("max_steps", 200)))
+                                spec.construction["max_steps"])
     return cw_run(spec.mu0, spec.construction["tangents"], spec.mu, spec.construction["C"])
 
 
-def _region_text(region) -> str:
-    def end(v, neg):
-        if isinstance(v, float) and math.isinf(v):
-            return "-inf" if neg else "+inf"
-        return format(float(v), ".6g")
+def _region_text(wire) -> str:
+    """A contact region's wire form as text, such as "[-inf, 0] U {2}"."""
+    def end(v, sign):
+        return sign + "inf" if v is None else format(v, ".6g")
 
-    if not region.components:
-        return "(empty)"
-    parts = []
-    for lo, hi in region.components:
-        if lo == hi:
-            parts.append("{%s}" % end(lo, True))
-        else:
-            parts.append("[%s, %s]" % (end(lo, True), end(hi, False)))
-    return " U ".join(parts)
+    parts = ["{%s}" % end(lo, "-") if lo is not None and lo == hi
+             else "[%s, %s]" % (end(lo, "-"), end(hi, "+")) for lo, hi in wire]
+    return " U ".join(parts) or "(empty)"
 
 
 def _analyze_payload(spec: ProblemSpec) -> dict:
@@ -198,14 +210,13 @@ def cmd_analyze(args) -> int:
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
-        region = minimality.contact_region(spec.mu0, spec.mu)
         lines = []
         lines.append("starting potential kinks: "
                      + ", ".join(f"({x:.6g}, {v:.6g})" for x, v in payload["mu0_potential"]))
         lines.append("target potential kinks:   "
                      + ", ".join(f"({x:.6g}, {v:.6g})" for x, v in payload["mu_potential"]))
         lines.append(f"C = {payload['C']:.9g}")
-        lines.append(f"contact set = {_region_text(region)}")
+        lines.append(f"contact set = {_region_text(payload['region'])}")
         lines.append(f"a- = {'-inf' if payload['a_minus'] is None else format(payload['a_minus'], '.6g')}"
                      f"   a+ = {'+inf' if payload['a_plus'] is None else format(payload['a_plus'], '.6g')}")
         lines.append("max-law bound:")
@@ -240,7 +251,7 @@ def _load_plan(path) -> EmbeddingPlan:
 def cmd_verify(args) -> int:
     spec = load_problem_spec(args.spec)
     plan = _load_plan(args.plan)
-    if not (plan.mu0.close_to(spec.mu0) and plan.target.close_to(spec.mu)):
+    if not (plan.mu0 == spec.mu0 and plan.target == spec.mu):
         print("error: plan measures do not match the problem spec", file=sys.stderr)
         return 2
     if not plan.complete:
@@ -283,7 +294,7 @@ def cmd_verify(args) -> int:
     else:
         lines = [
             f"C = {float(report.C):.9g}",
-            f"contact set = {_region_text(report.region)}",
+            f"contact set = {_region_text(report.region.to_wire())}",
             f"structural check: {'ok' if report.structural_ok else 'FAILED'}",
             f"uniformly integrable: {'yes' if report.ui_embedding else 'no'}",
             f"tv distance = {tv:.6g} (limit {tv_limit:.6g})",

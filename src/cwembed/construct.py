@@ -10,8 +10,11 @@ construction; an arbitrary tangent list can be run directly.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache
+from operator import neg
 from typing import Optional, Sequence, Union
 
 from .balayage import Interval, balayage, delta_m
@@ -79,8 +82,9 @@ class Step:
 class EmbeddingPlan:
     """Ordered balayage steps carrying the target shift constant C and the
     residual sup-distance between the final potential and the shifted target
-    potential.  A plan is complete when the residual vanishes (within
-    tolerance); only complete plans may be simulated.
+    potential.  A plan is complete when the residual is at most VALUE_TOL,
+    the stopping point of the Vallois approximation (every other
+    construction ends at residual 0); only complete plans may be simulated.
 
     The pair (mu0, target), C and the ordered tangents define a plan: every
     interval, measure and potential follows from them by ``cw_run``.  The
@@ -124,8 +128,8 @@ class EmbeddingPlan:
     def from_wire(cls, data) -> "EmbeddingPlan":
         """``cw_run(mu0, tangents, target, C)`` of a wire form; numbers may
         also be JSON numbers, and other keys are ignored.  A malformed value,
-        an inadmissible C or a tangent that does not cut raises
-        ProblemSpecError naming the field."""
+        a measure whose mass is not exactly 1, an inadmissible C or a tangent
+        that does not cut raises ProblemSpecError naming the field."""
 
         def read(obj, key, parse=frac, at=""):
             with field_errors(at + key):
@@ -169,31 +173,38 @@ def _cut_interval(g: PLConcave, f: Tangent):
     """Open interval {x : f(x) < g(x)} of the concave difference d = g - f.
 
     Returns (lo, hi) with None for an infinite endpoint, or None when the set
-    is empty; raises InvalidTangentError when the set is all of R.  Each
-    finite endpoint is the zero of d on the segment or ray where d changes
-    sign, found from a breakpoint of that piece and its slope.
+    is empty; raises InvalidTangentError when the set is all of R.  Over the
+    breakpoints d rises until g's slope drops to f's and then falls, so
+    bisection finds the first and last breakpoints where d > 0.  Each finite
+    endpoint is the zero of d on the piece where it changes sign.
     """
     if g.xs:
-        xs, slopes = g.xs, g.slopes
-        ds = [v - f(x) for x, v in zip(xs, g.values)]
+        xs, slopes, values = g.xs, g.slopes, g.values
     else:  # affine: two rays of one slope meeting at 0
-        xs, slopes = (Fraction(0),), g.slopes * 2
-        ds = [g.evaluate(0) - f(0)]
+        xs, slopes, values = (Fraction(0),), g.slopes * 2, (g.evaluate(0),)
+    n = len(xs)
+
+    @cache  # the bisections and zero() revisit breakpoints
+    def d(i):
+        return values[i] - f(xs[i])
 
     def zero(i, k):  # zero of d on piece k (k-th slope), through breakpoint i
-        return xs[i] - ds[i] / (slopes[k] - f.slope)
+        return xs[i] - d(i) / (slopes[k] - f.slope)
 
     sl_left, sl_right = slopes[0] - f.slope, slopes[-1] - f.slope
-    pos_left = sl_left < 0 or (sl_left == 0 and ds[0] > 0)
-    pos_right = sl_right > 0 or (sl_right == 0 and ds[-1] > 0)
+    pos_left = sl_left < 0 or (sl_left == 0 and d(0) > 0)
+    pos_right = sl_right > 0 or (sl_right == 0 and d(n - 1) > 0)
     if pos_left and pos_right:
         raise InvalidTangentError("tangent strictly below the potential everywhere")
-    pos = [i for i, d in enumerate(ds) if d > 0]
+    peak = min(max(bisect_left(slopes, -f.slope, key=neg) - 1, 0), n - 1)
+    pos = d(peak) > 0
     if not (pos or pos_left or pos_right):
         return None
-    n = len(xs)
-    lo = None if pos_left else zero(pos[0], pos[0]) if pos else zero(n - 1, n)
-    hi = None if pos_right else zero(pos[-1], pos[-1] + 1) if pos else zero(0, 0)
+    if pos:
+        first = bisect_left(range(peak), True, key=lambda i: d(i) > 0)
+        last = peak - 1 + bisect_left(range(peak, n), True, key=lambda i: d(i) <= 0)
+    lo = None if pos_left else zero(first, first) if pos else zero(n - 1, n)
+    hi = None if pos_right else zero(last, last + 1) if pos else zero(0, 0)
     return lo, hi
 
 
@@ -250,7 +261,7 @@ def cw_run(
     """
     Cf = frac(C)
     gap = gap_constant(mu0, target)
-    if Cf < gap - VALUE_TOL:
+    if Cf < gap:
         raise InadmissibleConstantError(f"C={Cf} below the admissible bound {gap}")
     g, m = mu0.potential(), mu0
     steps: list[Step] = []
@@ -279,21 +290,6 @@ def _segment_tangents(c: PLConcave) -> list[Tangent]:
     return out
 
 
-def _never_cuts(f: Tangent, u0: PLConcave) -> bool:
-    """True iff the line is nowhere meaningfully below u0, so cutting with it
-    could never move more than tolerance-level mass.  The sliver absorbs
-    float-precision weight defects; skipping such a line perturbs the plan
-    residual by at most the same sliver."""
-    sliver = Fraction(1, 10**12)
-    if not u0.xs:
-        if abs(f.slope - u0.left_slope) > sliver:
-            return False
-        return f(0) >= u0.evaluate(0) - sliver
-    if f.slope > u0.left_slope + sliver or f.slope < u0.right_slope - sliver:
-        return False
-    return all(f(x) >= u0.values[i] - sliver for i, x in enumerate(u0.xs))
-
-
 def ay_sweep(mu0: AtomicMeasure, target: AtomicMeasure) -> list[Tangent]:
     """Azema-Yor tangent sequence: the segment lines of the shifted target
     potential c = u_target - C with touch points sweeping left to right
@@ -308,7 +304,7 @@ def ay_sweep(mu0: AtomicMeasure, target: AtomicMeasure) -> list[Tangent]:
     C = gap_constant(mu0, target)
     c = target.potential().shift(-C)
     u0 = mu0.potential()
-    return [f for f in _segment_tangents(c) if not _never_cuts(f, u0)]
+    return [f for f in _segment_tangents(c) if _cut_interval(u0, f) is not None]
 
 
 def reversed_ay_sweep(mu0: AtomicMeasure, target: AtomicMeasure) -> list[Tangent]:
@@ -326,13 +322,11 @@ def jacka_plan(mu0: AtomicMeasure, target: AtomicMeasure) -> EmbeddingPlan:
     C = gap_constant(mu0, target)
     c = target.potential().shift(-C)
     u0 = mu0.potential()
-    if not c.xs:
-        return cw_run(mu0, [], target, C)
     segs = _segment_tangents(c)
     flat = Tangent(Fraction(0), max(c.values))
     upper = [f for f in segs if f.slope < 0]
     lower = [f for f in reversed(segs) if f.slope > 0]
-    tangents = [f for f in [flat] + upper + lower if not _never_cuts(f, u0)]
+    tangents = [f for f in [flat] + upper + lower if _cut_interval(u0, f) is not None]
     return cw_run(mu0, tangents, target, C)
 
 

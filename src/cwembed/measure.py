@@ -3,8 +3,15 @@
 All arithmetic is exact: positions, weights and function values are stored as
 ``fractions.Fraction``.  Floats passed in are converted exactly (every float
 is a rational), so identities such as mass conservation, potential round-trips
-and crossing computations hold with zero error; tolerances enter only where
-the public contract says they do.
+and crossing computations hold with zero error.
+
+Both measures of a pair (mu0, target) must have mass exactly 1:
+``gap_constant``, which every pair entry point calls, raises
+InvalidParameterError otherwise, so float thirds (mass 1 - 2**-54) are
+rejected, never rounded.  The CLI reads JSON numbers as the decimals they
+spell and rescales spec weights that miss 1 by at most MASS_TOL.  VALUE_TOL,
+the one other tolerance, is where an approximation may stop: a plan's
+``complete``, the Vallois iteration and ``close_to``.
 """
 
 from __future__ import annotations
@@ -15,17 +22,15 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Sequence, Union
 
-from .errors import InvalidSplitError, MalformedPotentialError
+from .errors import InvalidParameterError, InvalidSplitError, MalformedPotentialError
 
 Real = Union[int, float, Fraction]
 
-#: tolerance on the total mass of a probability measure
+#: how far above or below 1 a measure's mass may be; the CLI rescales a
+#: spec measure whose decimals miss 1 by at most this to mass exactly 1
 MASS_TOL = Fraction(1, 10**12)
-#: absolute tolerance for potential-value comparisons
+#: residual below which an approximate construction counts as done
 VALUE_TOL = Fraction(1, 10**9)
-#: slack allowed between extreme slopes of two near-probability potentials
-#: (covers float-precision weights whose mass is 1 only within MASS_TOL)
-SLOPE_TOL = Fraction(1, 10**10)
 
 
 def frac(x: Real) -> Fraction:
@@ -94,8 +99,9 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
-    def is_probability(self, tol: Fraction = MASS_TOL) -> bool:
-        return abs(self.total_mass - 1) <= tol
+    def is_probability(self) -> bool:
+        """Total mass exactly 1."""
+        return self.total_mass == 1
 
     def mean(self) -> Fraction:
         """Barycentre sum(w*x)/sum(w); undefined for the zero measure."""
@@ -269,12 +275,12 @@ class PLConcave:
 
     # -- inverse -----------------------------------------------------------
 
-    def measure(self, tol: Fraction = VALUE_TOL) -> AtomicMeasure:
+    def measure(self) -> AtomicMeasure:
         """The measure whose potential this is, up to the additive anchor.
 
         Requires a measure-type slope profile: left slope +m, right slope -m.
         """
-        if abs(self.left_slope + self.right_slope) > tol or self.left_slope < 0:
+        if self.left_slope + self.right_slope != 0 or self.left_slope < 0:
             raise MalformedPotentialError(
                 f"slope profile ({self.left_slope}, {self.right_slope}) is not of measure type"
             )
@@ -293,15 +299,10 @@ def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
 
     Finite only when the extreme slopes agree (e.g. both functions are
     potentials of probability measures, possibly shifted); raises ValueError
-    when they differ beyond SLOPE_TOL.  The supremum is attained on the
-    union of breakpoints or at the asymptotic difference; a sub-tolerance
-    slope mismatch (float-precision masses) contributes below tolerance near
-    the data and is ignored.
+    when they differ.  The supremum is attained on the union of breakpoints
+    or at the asymptotic difference.
     """
-    if (
-        abs(f.left_slope - g.left_slope) > SLOPE_TOL
-        or abs(f.right_slope - g.right_slope) > SLOPE_TOL
-    ):
+    if f.left_slope != g.left_slope or f.right_slope != g.right_slope:
         raise ValueError("sup difference is unbounded: extreme slopes differ")
     return max(abs(f.evaluate(x) - g.evaluate(x)) for x in kink_probes(f, g))
 
@@ -310,8 +311,12 @@ def gap_constant(mu0: AtomicMeasure, target: AtomicMeasure) -> Fraction:
     """sup_x { u_target(x) - u_mu0(x) }, the smallest admissible downward
     shift of the target potential below the starting potential.
 
-    Exact over the union of kinks plus the two asymptotic levels; always >= 0
-    for probability measures.
+    Exact over the union of kinks plus the two asymptotic levels; always >= 0.
+    Raises InvalidParameterError unless both measures have mass exactly 1.
     """
+    if not (mu0.is_probability() and target.is_probability()):
+        raise InvalidParameterError(
+            f"a pair needs mass exactly 1, got {mu0.total_mass} and {target.total_mass}"
+        )
     u0, ut = mu0.potential(), target.potential()
     return max(ut.evaluate(x) - u0.evaluate(x) for x in kink_probes(u0, ut))

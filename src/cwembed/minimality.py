@@ -250,6 +250,5 @@ def minimality_report(
         above, above_se = simulate.tail_probability(plan, gamma, "above", region, n_paths, seed)
         g = float(gamma)
         tails.append(TailEstimate(g, g * below, g * below_se, g * above, g * above_se))
-    means_equal = abs(plan.mu0.mean() - plan.target.mean()) <= Fraction(1, 10**9)
-    ui = C == 0 and means_equal
+    ui = C == 0 and plan.mu0.mean() == plan.target.mean()
     return MinimalityReport(C, region, structural, tuple(tails), ui)

@@ -123,9 +123,34 @@ class _Paths(NamedTuple):
         )
 
 
+def _starts(pd: _PlanData, u: np.ndarray) -> np.ndarray:
+    """Start of each row of draws, by inverse CDF of column 0."""
+    return pd.positions[np.searchsorted(pd.cum, u[:, 0], side="right")]
+
+
+def _exit_law(u: np.ndarray, k: int, a: float, b: float, pos: np.ndarray):
+    """Step k, the interval (a, b), for paths at ``pos``: (exit position,
+    highest point, lowest point) reached in the step, drawn from columns
+    1+3k (exit), 2+3k (max) and 3+3k (min) of the rows ``u``.  Meaningful
+    only for rows with a < pos < b."""
+    ue = u[:, 1 + 3 * k]
+    vmax = 1.0 - u[:, 2 + 3 * k]  # in (0, 1]: safe survival inversions
+    vmin = 1.0 - u[:, 3 + 3 * k]
+    if math.isfinite(a) and math.isfinite(b):
+        to_lo = ue < (b - pos) / (b - a)
+        smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
+        smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
+        return np.where(to_lo, a, b), np.where(to_lo, smax, b), np.where(to_lo, a, smin)
+    if math.isinf(b):
+        # collapse down to a from above: P(max >= m) = (pos-a)/(m-a)
+        return np.full_like(pos, a), a + (pos - a) / vmax, np.full_like(pos, a)
+    # collapse up to b from below: P(min <= m) = (b-pos)/(b-m)
+    return np.full_like(pos, b), np.full_like(pos, b), b - (b - pos) / vmin
+
+
 def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
     """Vectorized pass of one block of paths."""
-    start = pd.positions[np.searchsorted(pd.cum, u[:, 0], side="right")]
+    start = _starts(pd, u)
     pos = start.copy()
     gmax = start.copy()
     gmin = start.copy()
@@ -135,28 +160,8 @@ def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
 
     with np.errstate(invalid="ignore", divide="ignore"):
         for k, (a, b) in enumerate(pd.steps):
-            ue = u[:, 1 + 3 * k]
-            vmax = 1.0 - u[:, 2 + 3 * k]  # in (0, 1]: safe survival inversions
-            vmin = 1.0 - u[:, 3 + 3 * k]
             inside = (pos > a) & (pos < b)
-            if math.isfinite(a) and math.isfinite(b):
-                p_lo = (b - pos) / (b - a)
-                to_lo = ue < p_lo
-                smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
-                smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
-                newpos = np.where(to_lo, a, b)
-                rng_hi = np.where(to_lo, smax, b)
-                rng_lo = np.where(to_lo, a, smin)
-            elif math.isinf(b):
-                # collapse down to a from above: P(max >= m) = (pos-a)/(m-a)
-                newpos = np.full_like(pos, a)
-                rng_hi = a + (pos - a) / vmax
-                rng_lo = np.full_like(pos, a)
-            else:
-                # collapse up to b from below: P(min <= m) = (b-pos)/(b-m)
-                newpos = np.full_like(pos, b)
-                rng_hi = np.full_like(pos, b)
-                rng_lo = b - (b - pos) / vmin
+            newpos, rng_hi, rng_lo = _exit_law(u, k, a, b, pos)
             pmax = np.where(inside, gmax, pmax)
             pmin = np.where(inside, gmin, pmin)
             gmax = np.where(inside, np.maximum(gmax, rng_hi), gmax)
@@ -205,36 +210,21 @@ def _pass(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
 def sample_path(plan: EmbeddingPlan, seed: int, index: int) -> PathSample:
     """Realize one path from the independent substream (seed, index).
 
-    Identical to row ``index`` of any batched estimate with the same seed.
+    Identical to row ``index`` of any batched estimate with the same seed:
+    the row replays through the kernel's exit law, recording each step the
+    path is inside.
     """
     pd = _PlanData(plan)
     u = _stream(seed, index, pd.row_len).random((1, pd.row_len))
-    # scalar replay recording per-step exits
-    start = float(pd.positions[np.searchsorted(pd.cum, u[0, 0], side="right")])
+    start = _starts(pd, u)
     pos, hi, lo = start, start, start
     exits = []
     for k, (a, b) in enumerate(pd.steps):
-        if not (a < pos < b):
-            continue
-        ue = u[0, 1 + 3 * k]
-        vmax = 1.0 - u[0, 2 + 3 * k]
-        vmin = 1.0 - u[0, 3 + 3 * k]
-        if math.isfinite(a) and math.isfinite(b):
-            if ue < (b - pos) / (b - a):
-                hi = max(hi, (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos)))
-                pos = a
-            else:
-                lo = min(lo, (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a)))
-                pos = b
-        elif math.isinf(b):
-            hi = max(hi, a + (pos - a) / vmax)
-            pos = a
-        else:
-            lo = min(lo, b - (b - pos) / vmin)
-            pos = b
-        hi, lo = max(hi, pos), min(lo, pos)
-        exits.append((plan.steps[k].interval, pos))
-    return PathSample(start, tuple(exits), pos, hi, lo)
+        if a < pos[0] < b:
+            pos, top, bottom = _exit_law(u, k, a, b, pos)
+            hi, lo = np.maximum(hi, top), np.minimum(lo, bottom)
+            exits.append((plan.steps[k].interval, float(pos[0])))
+    return PathSample(float(start[0]), tuple(exits), float(pos[0]), float(hi[0]), float(lo[0]))
 
 
 def empirical_law(

@@ -1,4 +1,5 @@
 import contextlib
+import copy
 import io
 import json
 import math
@@ -7,7 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwembed.cli import main
+from cwembed import minimality
+from cwembed.cli import load_problem_spec, main
 
 SPEC = {
     "mu0": [[-1, 0.5], [1, 0.5]],
@@ -31,11 +33,15 @@ def spec_file(tmp_path):
     return p
 
 
-def test_analyze_text(spec_file, capsys):
+def test_analyze_text(spec_file, capsys, monkeypatch):
+    calls = []
+    real = minimality.contact_region
+    monkeypatch.setattr(minimality, "contact_region", lambda *a: calls.append(a) or real(*a))
     assert main(["analyze", "--spec", str(spec_file)]) == 0
     out = capsys.readouterr().out
     assert "C = 1" in out
     assert "{0}" in out
+    assert len(calls) == 1
 
 
 def test_analyze_json(spec_file, capsys):
@@ -162,6 +168,49 @@ def test_float_precision_weights(tmp_path):
         assert main(["verify", "--spec", str(p), "--plan", str(plan)]) == 0
 
 
+def test_decimal_weights_are_exact(tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(dict(SPEC, mu0=[[0.7, 1.0]], mu=[[0, 0.3], [1, 0.7]])))
+    plan = tmp_path / "p.json"
+    assert main(["build", "--spec", str(p), "--out", str(plan)]) == 0
+    assert json.loads(plan.read_text())["target"] == [["0", "3/10"], ["1", "7/10"]]
+
+
+def test_integral_exponent_counts(tmp_path):
+    p = tmp_path / "s.json"
+    p.write_text('{"mu0": [[0, 1]], "mu": [[0, 1]], '
+                 '"simulation": {"n_paths": 1e5, "seed": 2.0E1}}')
+    spec = load_problem_spec(p)
+    assert (spec.n_paths, spec.seed) == (100_000, 20)
+
+
+def test_position_beyond_double_exit_2(tmp_path, capsys):
+    p = tmp_path / "s.json"
+    p.write_text('{"mu0": [[1%s, 1]], "mu": [[0, 1]]}' % ("0" * 400))
+    assert main(["analyze", "--spec", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "mu0/mu" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("number", ["1e400", "-1e400", "1e-400", "0.5e-999999999"])
+def test_number_out_of_double_range_exit_2(tmp_path, capsys, number):
+    p = tmp_path / "s.json"
+    p.write_text('{"mu0": [[%s, 1]], "mu": [[0, 1]]}' % number)
+    assert main(["analyze", "--spec", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"number {number} is out of range" in err and "Traceback" not in err
+
+
+def test_custom_C_below_gap_exit_3(tmp_path, capsys):
+    # the Azema-Yor tangents of +-1 -> 0 (gap 1) with C one part in 1e10 short
+    spec = dict(SPEC, construction={"type": "custom", "tangents": [[1, -1], [-1, -1]],
+                                    "C": 0.9999999999})
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(spec))
+    assert main(["build", "--spec", str(p), "--out", str(tmp_path / "x.json")]) == 3
+    assert "below the admissible bound 1" in capsys.readouterr().err
+
+
 def test_diagram_empty_plan(tmp_path):
     spec = dict(SPEC, mu0=[[0, 1.0]], mu=[[0, 1.0]],
                 construction={"type": "custom", "tangents": [], "C": 0})
@@ -194,6 +243,15 @@ def test_diagram_empty_plan(tmp_path):
         ({"mu": [[0, math.inf]]}, [], "mu0/mu"),
         ({"simulation": {"n_paths": 1e20}}, [], "simulation.n_paths"),
         ({}, ["--paths", str(10**7 + 1)], "--paths"),
+        ({"simulation": {"seed": 7.5}}, [], "simulation.seed"),
+        ({"simulation": {"seed": "12"}}, [], "simulation.seed"),
+        ({"simulation": {"n_paths": 1000.5}}, [], "simulation.n_paths"),
+        ({"simulation": {"n_paths": True}}, [], "simulation.n_paths"),
+        ({"construction": {"type": "vallois", "eps": 0.25, "max_steps": 2.5}}, [],
+         "construction.max_steps"),
+        ({"construction": {"type": "vallois", "eps": 0.25, "max_steps": False}}, [],
+         "construction.max_steps"),
+        ({"simulation": {"thresholds": [math.nan]}}, [], "simulation.thresholds"),
     ],
 )
 def test_malformed_simulation_input_exit_2(spec_file, tmp_path, capsys, changes, extra, fld):
@@ -326,3 +384,67 @@ def test_unreadable_json_exit_2(spec_file, tmp_path, capsys, content, role):
     assert main(["verify", *[a for kv in files.items() for a in kv]]) == 2
     err = capsys.readouterr().err
     assert f"cannot read {bad}" in err and "Traceback" not in err
+
+
+_BASE_CONSTRUCTIONS = [
+    {"type": "azema-yor"},
+    {"type": "reversed-azema-yor"},
+    {"type": "jacka"},
+    {"type": "vallois", "eps": 0.5, "max_steps": 20},
+    {"type": "custom", "tangents": [[0, -2], [-1, -2], [1, -2]], "C": 2},
+]
+_SPEC_JUNK = _JUNK + [False, 0, 1e5, 1000.5, 7.5, -0.25, math.inf, [math.nan, 1], ["1", "1/2"]]
+_SPEC_KEYS = {
+    "spec": ["mu0", "mu", "construction", "simulation"],
+    "construction": ["type", "eps", "max_steps", "tangents", "C"],
+    "simulation": ["n_paths", "seed", "gammas", "thresholds"],
+    "mu0": [0, 1],
+    "mu": [0, 1],
+}
+
+
+@st.composite
+def _spec_edits(draw):
+    """A construction to start from and a list of edits to a spec: drop a
+    key, or set a value, an atom or an atom's entry to junk."""
+    con = draw(st.sampled_from(_BASE_CONSTRUCTIONS))
+    edits = []
+    for _ in range(draw(st.integers(1, 3))):
+        where = draw(st.sampled_from(sorted(_SPEC_KEYS)))
+        key = draw(st.sampled_from(_SPEC_KEYS[where]))
+        kind = draw(st.sampled_from(["drop", "set", "entry"]))
+        edits.append((where, key, kind, draw(st.integers(0, 1)), draw(st.sampled_from(_SPEC_JUNK))))
+    return con, edits
+
+
+def _edit_spec(spec, edits):
+    for where, key, kind, entry, junk in edits:
+        junk = copy.deepcopy(junk)
+        obj = spec if where == "spec" else spec.get(where)
+        if isinstance(obj, dict) and kind == "drop":
+            obj.pop(key, None)
+        elif isinstance(obj, dict):
+            obj[key] = junk
+        elif isinstance(obj, list) and isinstance(key, int) and key < len(obj):
+            if kind == "entry" and isinstance(obj[key], list) and obj[key]:
+                obj[key][entry % len(obj[key])] = junk
+            elif kind == "drop":
+                del obj[key]
+            else:
+                obj[key] = junk
+
+
+@given(edits=_spec_edits())
+@settings(max_examples=60, deadline=None)
+def test_spec_fuzz_exit_codes(tmp_path_factory, edits):
+    con, changes = edits
+    spec = json.loads(json.dumps(dict(FOUR_SPEC, construction=con)))
+    _edit_spec(spec, changes)
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "spec.json").write_text(json.dumps(spec))
+    for command in ("analyze", "build"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            rc = main([command, "--spec", str(d / "spec.json"), "--out", str(d / "out.json")])
+        assert rc in {0, 2, 3}
+        assert "Traceback" not in err.getvalue()

@@ -30,6 +30,7 @@ from cwembed import (
     sup_difference,
     vallois_eps_plan,
 )
+from cwembed.construct import _cut_interval
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -77,6 +78,42 @@ class TestCwStep:
             gn = st.potential_after
             for x in probe_points(g, gn):
                 assert gn.evaluate(x) == min(g.evaluate(x), f(x))
+
+
+def _scan_cut_interval(g, f):
+    """Reference for construct._cut_interval on a potential with breakpoints
+    that f does not lie below everywhere: d = g - f at every breakpoint, then
+    the zero of d on the piece beyond the first and last positive one."""
+    xs, slopes, ds = g.xs, g.slopes, [v - f(x) for x, v in zip(g.xs, g.values)]
+    zero = lambda i, k: xs[i] - ds[i] / (slopes[k] - f.slope)  # noqa: E731
+    sl_left, sl_right = slopes[0] - f.slope, slopes[-1] - f.slope
+    pos_left = sl_left < 0 or (sl_left == 0 and ds[0] > 0)
+    pos_right = sl_right > 0 or (sl_right == 0 and ds[-1] > 0)
+    pos, n = [i for i, d in enumerate(ds) if d > 0], len(xs)
+    if not (pos or pos_left or pos_right):
+        return None
+    lo = None if pos_left else zero(pos[0], pos[0]) if pos else zero(n - 1, n)
+    hi = None if pos_right else zero(pos[-1], pos[-1] + 1) if pos else zero(0, 0)
+    return lo, hi
+
+
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_cut_interval_matches_scan(seed):
+    # running potentials after a few cuts, and lines of every slope in
+    # [-1, 1], some through a breakpoint (touching or just below it)
+    rng = random.Random(seed)
+    m = random_prob_measure(rng, 8, span=4, denom=4)
+    g = m.potential()
+    for _ in range(rng.randint(0, 3)):
+        st_ = cw_step(g, m, Tangent(F(rng.randint(-4, 4), 4), F(rng.randint(-40, 0), 4)))
+        g, m = st_.potential_after, st_.measure_after
+    for _ in range(30):
+        s = F(rng.randint(-4, 4), 4)
+        k = rng.randrange(len(g.xs))
+        b = g.values[k] - s * g.xs[k] + F(rng.randint(-2, 1), 8) * rng.randint(0, 1)
+        f = Tangent(s, b if rng.random() < 0.5 else F(rng.randint(-60, 20), 8))
+        assert _cut_interval(g, f) == _scan_cut_interval(g, f)
 
 
 class TestCwRun:
@@ -156,6 +193,14 @@ class TestAySweep:
             plan = cw_run(mu0, ay_sweep(mu0, mu), mu, gap_constant(mu0, mu))
             assert plan.residual == 0
             assert plan.final_measure == mu
+
+    def test_tiny_spread_still_cut(self):
+        # the one Azema-Yor line of +-1 -> +-(1 + eps) lies only 1e-13 below u_mu0
+        eps = F(1, 10**13)
+        mu = AtomicMeasure.from_pairs([(-1 - eps, F(1, 2)), (1 + eps, F(1, 2))])
+        plan = cw_run(PM1, ay_sweep(PM1, mu), mu, gap_constant(PM1, mu))
+        assert len(plan.steps) == 1
+        assert plan.residual == 0 and plan.final_measure == mu
 
 
 class TestReversedSweep:
@@ -340,6 +385,12 @@ class TestPlanWire:
         wire["steps"][-1]["measure_after"] = [["0", "1"]]
         again = EmbeddingPlan.from_wire(wire)
         assert again == plan and again.final_measure == FOUR
+
+    def test_mass_must_be_exactly_one(self):
+        wire = cw_run(D0, ay_sweep(D0, FOUR), FOUR, 0).to_wire()
+        wire["target"] = [[-1, 2 / 3], [2, 1 / 3]]  # doubles: mass 1 - 2**-54
+        with pytest.raises(ProblemSpecError, match="target"):
+            EmbeddingPlan.from_wire(wire)
 
     def test_non_cutting_tangent_rejected(self):
         wire = cw_run(D0, ay_sweep(D0, FOUR), FOUR, 0).to_wire()

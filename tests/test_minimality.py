@@ -7,15 +7,20 @@ import pytest
 from conftest import random_prob_measure
 from cwembed import (
     AtomicMeasure,
+    EmbeddingPlan,
     IncompletePlanError,
+    InvalidParameterError,
     Tangent,
     ay_max_law,
     ay_sweep,
+    barycentre_phi,
     contact_region,
     cw_run,
     gap_constant,
+    jacka_plan,
     max_law_bound,
     minimality_report,
+    reversed_ay_sweep,
     tangent_ratio_min,
     vallois_eps_plan,
 )
@@ -205,3 +210,32 @@ class TestReport:
         plan = vallois_eps_plan(D0, PM1, F(1, 2), 1)
         with pytest.raises(IncompletePlanError):
             minimality_report(plan, 100, [2.0], seed=1)
+
+
+# float thirds: the doubles 2/3 and 1/3 sum to 1 - 2**-54, not 1
+FLOAT_THIRDS = AtomicMeasure.from_pairs([(-1, 2 / 3), (2, 1 / 3)])
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        lambda m: gap_constant(D0, m),
+        lambda m: cw_run(D0, [], m, 0),
+        lambda m: ay_sweep(D0, m),
+        lambda m: reversed_ay_sweep(D0, m),
+        lambda m: jacka_plan(D0, m),
+        lambda m: vallois_eps_plan(D0, m, F(1, 2), 10),
+        lambda m: contact_region(D0, m),
+        lambda m: max_law_bound(D0, m, 1),
+        lambda m: barycentre_phi(D0, m, 1),
+        lambda m: ay_max_law(D0, m, 1),
+        lambda m: minimality_report(EmbeddingPlan(D0, m, F(0), (), F(0)), 100, [1], 0),
+        lambda m: cw_run(m, [], D0, 0),
+    ],
+    ids=["gap_constant", "cw_run", "ay_sweep", "reversed_ay_sweep", "jacka_plan",
+         "vallois_eps_plan", "contact_region", "max_law_bound", "barycentre_phi",
+         "ay_max_law", "minimality_report", "cw_run-mu0"],
+)
+def test_pair_mass_must_be_exactly_one(entry):
+    with pytest.raises(InvalidParameterError, match="mass exactly 1"):
+        entry(FLOAT_THIRDS)
