@@ -36,6 +36,7 @@ from .measure import (
     AtomicMeasure,
     PLConcave,
     gap_constant,
+    pair,
     sup_difference,
 )
 from .minimality import (

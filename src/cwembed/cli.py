@@ -34,7 +34,6 @@ import json
 import math
 import sys
 from dataclasses import dataclass, field
-from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
@@ -50,7 +49,7 @@ from .construct import (
 )
 from .diagram import render_plan_svg
 from .errors import EmbedError, InadmissibleConstantError, ProblemSpecError, field_errors
-from .measure import MASS_TOL, AtomicMeasure, frac, gap_constant
+from .measure import MASS_TOL, AtomicMeasure, frac, gap_constant, pair
 
 _CONSTRUCTIONS = ("azema-yor", "reversed-azema-yor", "jacka", "vallois", "custom")
 
@@ -74,9 +73,7 @@ def _require(cond, message, fld):
 def _numbers(value, fld) -> list:
     _require(isinstance(value, list), f"expected a list of numbers, got {value!r}", fld)
     with field_errors(fld):
-        numbers = [float(v) for v in value]
-    _require(all(map(math.isfinite, numbers)), "numbers must be finite", fld)
-    return numbers
+        return [float(frac(v)) for v in value]
 
 
 def _integer(value, fld) -> int:
@@ -100,18 +97,9 @@ def _seed(value, fld) -> int:
     return seed
 
 
-def _decimal(text: str) -> Fraction:
-    """The exact value of a JSON number with a fraction or exponent; it must be
-    0 or in a double's range (1e400, 1e-400 are not): no huge power of ten."""
-    x, d = float(text), Decimal(text)
-    if not math.isfinite(x) or (x == 0) != d.is_zero():
-        raise ValueError(f"number {text} is out of range")
-    return Fraction(d)
-
-
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_decimal)
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=frac)
     except json.JSONDecodeError as exc:
         raise ProblemSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8 or number, too deep
@@ -187,19 +175,15 @@ def _region_text(wire) -> str:
 
 
 def _analyze_payload(spec: ProblemSpec) -> dict:
-    C = gap_constant(spec.mu0, spec.mu)
+    p = pair(spec.mu0, spec.mu)
     region = minimality.contact_region(spec.mu0, spec.mu)
     bounds = [
         [t, float(minimality.max_law_bound(spec.mu0, spec.mu, t))] for t in spec.thresholds
     ]
-    u0, ut = spec.mu0.potential(), spec.mu.potential()
     return {
-        "C": float(C),
-        "region": region.to_wire(),
-        "a_minus": None if math.isinf(region.a_minus) else float(region.a_minus),
-        "a_plus": None if math.isinf(region.a_plus) else float(region.a_plus),
-        "mu0_potential": [[float(x), float(u0.evaluate(x))] for x in u0.xs],
-        "mu_potential": [[float(x), float(ut.evaluate(x))] for x in ut.xs],
+        **minimality.contact_wire(p.C, region),
+        "mu0_potential": [[float(x), float(p.u0.evaluate(x))] for x in p.u0.xs],
+        "mu_potential": [[float(x), float(p.ut.evaluate(x))] for x in p.ut.xs],
         "max_law_bound": bounds,
     }
 
@@ -334,15 +318,16 @@ def _parser() -> argparse.ArgumentParser:
                                 formatter_class=argparse.RawDescriptionHelpFormatter)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, plan=False, out_required=False):
+    def common(sp, plan=False, out_required=False, formats=()):
         sp.add_argument("--spec", required=True, help="problem spec JSON file")
         if plan:
             sp.add_argument("--plan", required=True, help="plan JSON file")
         sp.add_argument("--out", required=out_required, help="output file")
-        sp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+        if formats:
+            sp.add_argument("--format", choices=formats, default="text")
 
     sp = sub.add_parser("analyze", help="potentials, C, contact set, max-law bound")
-    common(sp)
+    common(sp, formats=("text", "json"))
     sp.set_defaults(fn=cmd_analyze)
 
     sp = sub.add_parser("build", help="construct a plan and write it as JSON")
@@ -350,7 +335,7 @@ def _parser() -> argparse.ArgumentParser:
     sp.set_defaults(fn=cmd_build)
 
     sp = sub.add_parser("verify", help="minimality report and law comparison")
-    common(sp, plan=True)
+    common(sp, plan=True, formats=("text", "json", "csv"))
     sp.add_argument("--paths", type=int, default=None, help="override simulated path count")
     sp.add_argument("--seed", type=int, default=None, help="override simulation seed")
     sp.set_defaults(fn=cmd_verify)

@@ -33,7 +33,7 @@ from .measure import (
     PLConcave,
     Real,
     frac,
-    gap_constant,
+    pair,
     sup_difference,
 )
 
@@ -107,7 +107,7 @@ class EmbeddingPlan:
 
     @property
     def final_potential(self) -> PLConcave:
-        return self.steps[-1].potential_after if self.steps else self.mu0.potential()
+        return self.steps[-1].potential_after if self.steps else pair(self.mu0, self.target).u0
 
     def to_wire(self) -> dict:
         """JSON form: mu0, target, C and each step's slope and intercept as
@@ -260,10 +260,10 @@ def cw_run(
     the final potential equals the target potential shifted down by C.
     """
     Cf = frac(C)
-    gap = gap_constant(mu0, target)
-    if Cf < gap:
-        raise InadmissibleConstantError(f"C={Cf} below the admissible bound {gap}")
-    g, m = mu0.potential(), mu0
+    p = pair(mu0, target)
+    if Cf < p.C:
+        raise InadmissibleConstantError(f"C={Cf} below the admissible bound {p.C}")
+    g, m = p.u0, mu0
     steps: list[Step] = []
     for f in tangents:
         st = cw_step(g, m, f)
@@ -271,7 +271,7 @@ def cw_run(
             continue
         steps.append(st)
         g, m = st.potential_after, st.measure_after
-    residual = sup_difference(g, target.potential().shift(-Cf))
+    residual = sup_difference(g, p.ut.shift(-Cf))
     return EmbeddingPlan(mu0, target, Cf, tuple(steps), residual)
 
 
@@ -301,10 +301,8 @@ def ay_sweep(mu0: AtomicMeasure, target: AtomicMeasure) -> list[Tangent]:
     running maximum among minimal embeddings; any order embeds the target,
     but only this one attains the maximum-law bound.
     """
-    C = gap_constant(mu0, target)
-    c = target.potential().shift(-C)
-    u0 = mu0.potential()
-    return [f for f in _segment_tangents(c) if _cut_interval(u0, f) is not None]
+    p = pair(mu0, target)
+    return [f for f in _segment_tangents(p.c) if _cut_interval(p.u0, f) is not None]
 
 
 def reversed_ay_sweep(mu0: AtomicMeasure, target: AtomicMeasure) -> list[Tangent]:
@@ -319,15 +317,13 @@ def jacka_plan(mu0: AtomicMeasure, target: AtomicMeasure) -> EmbeddingPlan:
     max-favouring sweep on the upper half (negative slopes, touch points left
     to right) and its mirror on the lower half (positive slopes, right to
     left)."""
-    C = gap_constant(mu0, target)
-    c = target.potential().shift(-C)
-    u0 = mu0.potential()
-    segs = _segment_tangents(c)
-    flat = Tangent(Fraction(0), max(c.values))
+    p = pair(mu0, target)
+    segs = _segment_tangents(p.c)
+    flat = Tangent(Fraction(0), max(p.c.values))
     upper = [f for f in segs if f.slope < 0]
     lower = [f for f in reversed(segs) if f.slope > 0]
-    tangents = [f for f in [flat] + upper + lower if _cut_interval(u0, f) is not None]
-    return cw_run(mu0, tangents, target, C)
+    tangents = [f for f in [flat] + upper + lower if _cut_interval(p.u0, f) is not None]
+    return cw_run(mu0, tangents, target, p.C)
 
 
 def _support_line_through(c: PLConcave, x0: Fraction, y0: Fraction, touch: str) -> Tangent:
@@ -365,16 +361,15 @@ def vallois_eps_plan(
         raise InvalidParameterError(f"eps must be positive, got {eps}")
     if max_steps < 0:
         raise InvalidParameterError("max_steps must be nonnegative")
-    C = gap_constant(mu0, target)
-    c = target.potential().shift(-C)
-    g, m = mu0.potential(), mu0
+    p = pair(mu0, target)
+    g, m = p.u0, mu0
     steps: list[Step] = []
     stalled = 0
     for k in range(max_steps):
-        if sup_difference(g, c) <= VALUE_TOL:
+        if sup_difference(g, p.c) <= VALUE_TOL:
             break
         x0 = epsf if k % 2 == 0 else Fraction(0)
-        f = _support_line_through(c, x0, g.evaluate(x0), "left" if k % 2 == 0 else "right")
+        f = _support_line_through(p.c, x0, g.evaluate(x0), "left" if k % 2 == 0 else "right")
         st = cw_step(g, m, f)
         if st.noop:
             stalled += 1
@@ -384,8 +379,8 @@ def vallois_eps_plan(
         stalled = 0
         steps.append(st)
         g, m = st.potential_after, st.measure_after
-    residual = sup_difference(g, c)
-    return EmbeddingPlan(mu0, target, C, tuple(steps), residual)
+    residual = sup_difference(g, p.c)
+    return EmbeddingPlan(mu0, target, p.C, tuple(steps), residual)
 
 
 # ---------------------------------------------------------------------------
@@ -423,9 +418,8 @@ def barycentre_phi(mu0: AtomicMeasure, target: AtomicMeasure, x: Real):
     direction is lambda -> x- and x itself is returned (stop on arrival);
     where the maximum-law bound vanishes the value is undefined.
     """
-    C = gap_constant(mu0, target)
-    c = target.potential().shift(-C)
-    best, arg = tangent_ratio_min(mu0.potential(), c, x)
+    p = pair(mu0, target)
+    best, arg = tangent_ratio_min(p.u0, p.c, x)
     bound = (1 + best) / 2
     if bound <= 0:
         raise UndefinedBarycentreError(f"maximum-law bound vanishes at x={x}")
@@ -437,7 +431,7 @@ def expected_local_time_zero(plan: EmbeddingPlan) -> Fraction:
     level zero accumulated by the embedding."""
     if not plan.complete:
         raise IncompletePlanError("expected local time requires a complete plan")
-    return plan.mu0.potential().evaluate(0) - plan.final_potential.evaluate(0)
+    return pair(plan.mu0, plan.target).u0.evaluate(0) - plan.final_potential.evaluate(0)
 
 
 def plan_shift_constants(plan: EmbeddingPlan) -> list[Fraction]:

@@ -7,6 +7,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .construct import EmbeddingPlan
+from .measure import pair
 
 _W, _H = 800, 480
 _MARGIN = 56
@@ -17,8 +18,8 @@ def _fmt(v: float) -> str:
 
 
 def render_plan_svg(plan: EmbeddingPlan) -> str:
-    u0 = plan.mu0.potential()
-    c = plan.target.potential().shift(-plan.C)
+    p = pair(plan.mu0, plan.target)
+    u0, c = p.u0, p.ut.shift(-plan.C)
 
     knots = sorted(set(u0.xs) | set(c.xs) | {Fraction(0)})
     for st in plan.steps:

@@ -5,22 +5,25 @@ All arithmetic is exact: positions, weights and function values are stored as
 is a rational), so identities such as mass conservation, potential round-trips
 and crossing computations hold with zero error.
 
-Both measures of a pair (mu0, target) must have mass exactly 1:
-``gap_constant``, which every pair entry point calls, raises
-InvalidParameterError otherwise, so float thirds (mass 1 - 2**-54) are
-rejected, never rounded.  The CLI reads JSON numbers as the decimals they
-spell and rescales spec weights that miss 1 by at most MASS_TOL.  VALUE_TOL,
-the one other tolerance, is where an approximation may stop: a plan's
-``complete``, the Vallois iteration and ``close_to``.
+A pair (mu0, target) fixes the potentials u0, ut, the gap constant C and
+c = ut - C; ``pair`` computes them once, keeping the last pair asked for.
+It raises InvalidParameterError unless both masses are exactly 1, so float
+thirds (mass 1 - 2**-54) are rejected, never rounded.  ``frac`` also reads
+numbers from outside: it refuses a bool, and a decimal string must be 0 or
+within a double's range.  MASS_TOL bounds the CLI's rescale of spec weights;
+VALUE_TOL is where an approximation may stop: a plan's ``complete``, the
+Vallois iteration and ``close_to``.
 """
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property
-from typing import Iterable, Sequence, Union
+from functools import cached_property, lru_cache
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidParameterError, InvalidSplitError, MalformedPotentialError
 
@@ -33,10 +36,19 @@ MASS_TOL = Fraction(1, 10**12)
 VALUE_TOL = Fraction(1, 10**9)
 
 
-def frac(x: Real) -> Fraction:
-    """Exact conversion to Fraction (floats convert without rounding)."""
+def frac(x: Union[Real, str]) -> Fraction:
+    """Exact conversion to Fraction (floats convert without rounding).  A
+    bool is refused; a string is "p/q" or a decimal that is 0 or within a
+    double's range, checked before any power of ten is built."""
     if isinstance(x, Fraction):
         return x
+    if isinstance(x, bool):
+        raise TypeError(f"expected a number, got {x}")
+    if isinstance(x, str) and "/" not in x:
+        approx, exact = float(x), Decimal(x)
+        if not math.isfinite(approx) or (approx == 0) != exact.is_zero():
+            raise ValueError(f"number {x} is out of range")
+        return Fraction(exact)
     return Fraction(x)
 
 
@@ -268,11 +280,6 @@ class PLConcave:
         x0, y0 = self.anchor
         return PLConcave(self.left_slope, self.breakpoints, (x0, y0 + frac(c)))
 
-    def reflect(self) -> "PLConcave":
-        """The function x -> f(-x)."""
-        bps = tuple((-x, d) for x, d in reversed(self.breakpoints))
-        return PLConcave(-self.right_slope, bps, (-self.anchor[0], self.anchor[1]))
-
     # -- inverse -----------------------------------------------------------
 
     def measure(self) -> AtomicMeasure:
@@ -307,16 +314,30 @@ def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
     return max(abs(f.evaluate(x) - g.evaluate(x)) for x in kink_probes(f, g))
 
 
-def gap_constant(mu0: AtomicMeasure, target: AtomicMeasure) -> Fraction:
-    """sup_x { u_target(x) - u_mu0(x) }, the smallest admissible downward
-    shift of the target potential below the starting potential.
+class Pair(NamedTuple):
+    """The invariants of a pair (mu0, target): both potentials, the gap
+    constant C (the least admissible downward shift of ut) and c = ut - C."""
 
-    Exact over the union of kinks plus the two asymptotic levels; always >= 0.
-    Raises InvalidParameterError unless both measures have mass exactly 1.
-    """
+    u0: PLConcave
+    ut: PLConcave
+    C: Fraction
+    c: PLConcave
+
+
+@lru_cache(maxsize=1)
+def pair(mu0: AtomicMeasure, target: AtomicMeasure) -> Pair:
+    """The pair's invariants, kept for the last pair asked for.  C is the
+    exact sup of ut - u0 over the union of kinks and the two rays (>= 0).
+    Raises InvalidParameterError unless both measures have mass exactly 1."""
     if not (mu0.is_probability() and target.is_probability()):
         raise InvalidParameterError(
             f"a pair needs mass exactly 1, got {mu0.total_mass} and {target.total_mass}"
         )
     u0, ut = mu0.potential(), target.potential()
-    return max(ut.evaluate(x) - u0.evaluate(x) for x in kink_probes(u0, ut))
+    C = max(ut.evaluate(x) - u0.evaluate(x) for x in kink_probes(u0, ut))
+    return Pair(u0, ut, C, ut.shift(-C))
+
+
+def gap_constant(mu0: AtomicMeasure, target: AtomicMeasure) -> Fraction:
+    """sup_x { u_target(x) - u_mu0(x) }, the gap constant C of ``pair``."""
+    return pair(mu0, target).C

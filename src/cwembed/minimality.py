@@ -7,14 +7,14 @@ that a plan never crosses the contact set.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence, Union
 
 from . import simulate
 from .construct import EmbeddingPlan, ay_sweep, cw_run, tangent_ratio_min
 from .errors import IncompletePlanError
-from .measure import AtomicMeasure, Real, frac, gap_constant, kink_probes
+from .measure import AtomicMeasure, Real, frac, gap_constant, kink_probes, pair
 
 __all__ = [
     "ContactRegion",
@@ -67,6 +67,17 @@ class ContactRegion:
         return [[enc(lo), enc(hi)] for lo, hi in self.components]
 
 
+def contact_wire(C: Fraction, region: ContactRegion) -> dict:
+    """The C, region, a_minus and a_plus fields of analyze and verify output."""
+    wire = region.to_wire()
+    return {
+        "C": float(C),
+        "region": wire,
+        "a_minus": wire[0][0] if wire else None,
+        "a_plus": wire[-1][1] if wire else None,
+    }
+
+
 @dataclass(frozen=True)
 class TailEstimate:
     """gamma-scaled exit-tail estimate for one level: gamma * P(the path
@@ -80,13 +91,7 @@ class TailEstimate:
     above_se: float
 
     def to_wire(self) -> dict:
-        return {
-            "gamma": self.gamma,
-            "below": self.below,
-            "below_se": self.below_se,
-            "above": self.above,
-            "above_se": self.above_se,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -99,10 +104,7 @@ class MinimalityReport:
 
     def to_wire(self) -> dict:
         return {
-            "C": float(self.C),
-            "region": self.region.to_wire(),
-            "a_minus": None if math.isinf(self.region.a_minus) else float(self.region.a_minus),
-            "a_plus": None if math.isinf(self.region.a_plus) else float(self.region.a_plus),
+            **contact_wire(self.C, self.region),
             "structural_ok": self.structural_ok,
             "tail_estimates": [t.to_wire() for t in self.tail_estimates],
             "ui_embedding": self.ui_embedding,
@@ -116,13 +118,10 @@ def contact_region(mu0: AtomicMeasure, target: AtomicMeasure) -> ContactRegion:
     set is a finite union of kinks and flat segments, located exactly; an
     infinite endpoint is included iff the asymptotic gap on that side is zero.
     """
-    C = gap_constant(mu0, target)
-    u0, ut = mu0.potential(), target.potential()
-    probes = kink_probes(u0, ut)
-    if len(probes) == 1:
-        return ContactRegion((((-math.inf), math.inf),))
+    p = pair(mu0, target)
+    probes = kink_probes(p.u0, p.ut)
     # the end probes stand for the rays, constant for probability pairs
-    d_left, *vals, d_right = [ut.evaluate(x) - C - u0.evaluate(x) for x in probes]
+    d_left, *vals, d_right = [p.c.evaluate(x) - p.u0.evaluate(x) for x in probes]
     xs = probes[1:-1]
 
     components: list[list[Endpoint]] = []
@@ -149,9 +148,8 @@ def max_law_bound(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fractio
     """Upper bound on P(running max >= x) over all minimal embeddings of the
     pair: inf over lambda < x of (1 + ratio)/2, clamped to [0, 1], minimized
     exactly over the finite candidate set of the tangent ratio."""
-    C = gap_constant(mu0, target)
-    c = target.potential().shift(-C)
-    best, _ = tangent_ratio_min(mu0.potential(), c, x)
+    p = pair(mu0, target)
+    best, _ = tangent_ratio_min(p.u0, p.c, x)
     bound = (1 + best) / 2
     return min(Fraction(1), max(Fraction(0), bound))
 

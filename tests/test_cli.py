@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwembed import minimality
+from cwembed import AtomicMeasure, measure, minimality
 from cwembed.cli import load_problem_spec, main
 
 SPEC = {
@@ -33,15 +33,23 @@ def spec_file(tmp_path):
     return p
 
 
-def test_analyze_text(spec_file, capsys, monkeypatch):
-    calls = []
-    real = minimality.contact_region
+def test_analyze_text(tmp_path, capsys, monkeypatch):
+    spec_file = tmp_path / "spec.json"
+    thresholds = [-1, -0.5, 0, 0.5, 1]
+    spec_file.write_text(json.dumps(dict(SPEC, simulation={"thresholds": thresholds})))
+    calls, potentials = [], []
+    real, real_potential = minimality.contact_region, AtomicMeasure.potential
     monkeypatch.setattr(minimality, "contact_region", lambda *a: calls.append(a) or real(*a))
+    monkeypatch.setattr(AtomicMeasure, "potential",
+                        lambda m: potentials.append(m) or real_potential(m))
+    measure.pair.cache_clear()
     assert main(["analyze", "--spec", str(spec_file)]) == 0
     out = capsys.readouterr().out
     assert "C = 1" in out
     assert "{0}" in out
+    assert out.count("P(max >= ") == len(thresholds)
     assert len(calls) == 1
+    assert len(potentials) == 2  # the pair's two potentials, computed once
 
 
 def test_analyze_json(spec_file, capsys):
@@ -89,6 +97,13 @@ def test_verify_csv(spec_file, tmp_path, capsys):
     assert out.startswith("atom,frequency")
     assert "gamma,side,estimate,stderr" in out
     assert "2,below,0,0" in out
+
+
+@pytest.mark.parametrize("command, fmt", [("build", "json"), ("analyze", "csv")])
+def test_unimplemented_format_exit_2(spec_file, tmp_path, command, fmt):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--spec", str(spec_file), "--out", str(tmp_path / "x"), "--format", fmt])
+    assert exc.value.code == 2
 
 
 def test_parse_error_exit_2(tmp_path):
@@ -252,6 +267,12 @@ def test_diagram_empty_plan(tmp_path):
         ({"construction": {"type": "vallois", "eps": 0.25, "max_steps": False}}, [],
          "construction.max_steps"),
         ({"simulation": {"thresholds": [math.nan]}}, [], "simulation.thresholds"),
+        ({"mu0": [["1e2000000", 1]]}, [], "mu0/mu"),
+        ({"mu0": [[True, True]]}, [], "mu0/mu"),
+        ({"simulation": {"gammas": [True]}}, [], "simulation.gammas"),
+        ({"simulation": {"thresholds": [False]}}, [], "simulation.thresholds"),
+        ({"construction": {"type": "custom", "tangents": [], "C": "1e400"}}, [],
+         "construction.C"),
     ],
 )
 def test_malformed_simulation_input_exit_2(spec_file, tmp_path, capsys, changes, extra, fld):
@@ -312,6 +333,9 @@ def _set(path, value):
         (_set(["steps", 0, "intercept"], "1/0"), "steps[0].intercept"),
         (lambda w: w["steps"][2].pop("intercept"), "steps[2].intercept"),
         (lambda w: w["steps"].insert(2, dict(w["steps"][1])), "steps[2]"),
+        (_set(["C"], "1e400"), "C"),
+        (_set(["mu0"], [["1e2000000", 1]]), "mu0"),
+        (_set(["steps", 1, "slope"], True), "steps[1].slope"),
     ],
 )
 @pytest.mark.parametrize("command", ["verify", "diagram"])
@@ -325,7 +349,8 @@ def test_malformed_plan_exit_2(four_files, tmp_path, edit, fld, command):
     assert "Traceback" not in err
 
 
-_JUNK = [None, True, 2, -5, 1.5, math.nan, "x", "1/0", "", [], [[1]], {}]
+_JUNK = [None, True, False, 2, -5, 1.5, math.nan, "x", "1/0", "", [], [[1]], {},
+         "1e400", "-1e2000000", "1e-400", "2.5e-1"]
 
 
 @st.composite
@@ -393,7 +418,7 @@ _BASE_CONSTRUCTIONS = [
     {"type": "vallois", "eps": 0.5, "max_steps": 20},
     {"type": "custom", "tangents": [[0, -2], [-1, -2], [1, -2]], "C": 2},
 ]
-_SPEC_JUNK = _JUNK + [False, 0, 1e5, 1000.5, 7.5, -0.25, math.inf, [math.nan, 1], ["1", "1/2"]]
+_SPEC_JUNK = _JUNK + [0, 1e5, 1000.5, 7.5, -0.25, math.inf, [math.nan, 1], ["1", "1/2"]]
 _SPEC_KEYS = {
     "spec": ["mu0", "mu", "construction", "simulation"],
     "construction": ["type", "eps", "max_steps", "tangents", "C"],

@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 from conftest import probe_points, random_prob_measure
 from cwembed import (
     AtomicMeasure,
+    InvalidParameterError,
     InvalidSplitError,
     MalformedPotentialError,
     PLConcave,
     gap_constant,
     sup_difference,
 )
+from cwembed.measure import frac, kink_probes, pair
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -227,6 +229,49 @@ class TestGapConstant:
             ua, ub = a.potential(), b.potential().shift(-g)
             diffs = [ua.evaluate(x) - ub.evaluate(x) for x in probe_points(ua, ub)]
             assert min(diffs) == 0
+
+
+class TestPair:
+    @given(seed=st.integers(0, 2**32))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_fresh_scan(self, seed):
+        rng = random.Random(seed)
+        mu0, mu = random_prob_measure(rng), random_prob_measure(rng)
+        # the reference: fresh potentials and the gap scan over their kinks
+        u0, ut = mu0.potential(), mu.potential()
+        C = max(ut.evaluate(x) - u0.evaluate(x) for x in kink_probes(u0, ut))
+        assert pair(mu0, mu) == (u0, ut, C, ut.shift(-C))
+        assert gap_constant(mu0, mu) == C
+
+    def test_alternating_pairs(self):
+        for _ in range(3):
+            assert pair(PM1, D0).C == 1
+            assert gap_constant(ASYM, D0) == F(4, 3)
+
+    def test_mass_defect_raises_every_call(self):
+        thirds = AtomicMeasure.from_pairs([(-1, 2 / 3), (2, 1 / 3)])
+        for _ in range(3):
+            with pytest.raises(InvalidParameterError, match="mass exactly 1"):
+                pair(D0, thirds)
+
+
+class TestFrac:
+    @pytest.mark.parametrize("text, value", [
+        ("0.3", F(3, 10)), ("1e5", F(10**5)), ("-2.5E-3", F(-1, 400)), ("0e999999999", F(0)),
+        ("7/3", F(7, 3)), ("1e308", F(10**308)),
+    ])
+    def test_strings(self, text, value):
+        assert frac(text) == value
+
+    @pytest.mark.parametrize("text", ["1e400", "-1e2000000", "1e-400", "inf", "nan", "x"])
+    def test_refused_strings(self, text):
+        with pytest.raises(ValueError):
+            frac(text)
+
+    @pytest.mark.parametrize("flag", [True, False])
+    def test_bool_refused(self, flag):
+        with pytest.raises(TypeError):
+            frac(flag)
 
 
 class TestValidation:
