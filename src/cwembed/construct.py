@@ -1,11 +1,13 @@
 """Tangent-cutting construction of embeddings.
 
-A plan is a sequence of balayage steps, each induced by a line of slope in
-[-1, 1] cut against the running potential: the strict sublevel set of the line
-is the interval swept, the new potential is the pointwise minimum of the old
-one and the line.  Generators are provided for the Azema-Yor sweep, its
-mirror, the Jacka construction and the eps-approximation of the Vallois
-construction; an arbitrary tangent list can be run directly.
+A construction's state is its running potential.  Each balayage step cuts it
+with a line of slope in [-1, 1]: the strict sublevel set of the line is the
+interval swept, and the new potential is the pointwise minimum of the old one
+and the line, so only the piece over that interval changes.  The measure
+after a step is read off the potential's slope drops (an atom of weight w is
+a drop of 2w) when asked for.  Generators are provided for the Azema-Yor
+sweep, its mirror, the Jacka construction and the eps-approximation of the
+Vallois construction; an arbitrary tangent list can be run directly.
 """
 
 from __future__ import annotations
@@ -13,11 +15,11 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from operator import neg
 from typing import Optional, Sequence, Union
 
-from .balayage import Interval, balayage, delta_m
+from .balayage import Interval
 from .errors import (
     InadmissibleConstantError,
     IncompletePlanError,
@@ -66,16 +68,24 @@ class Step:
     """One balayage step of a plan.
 
     ``interval`` endpoints are exactly where the tangent crosses the previous
-    potential; ``potential_after`` is the pointwise minimum of the previous
-    potential and the tangent.  A no-op step (tangent nowhere strictly below
-    the potential) carries interval None and leaves the state unchanged.
+    potential; ``potential_after``, the pointwise minimum of the previous
+    potential and the tangent, is the whole state, and ``measure_after`` is
+    read off its slope drops on first use.  A no-op step (tangent nowhere
+    strictly below the potential), which only ``cw_step`` returns, carries
+    interval None and the potential unchanged.
     """
 
     tangent: Tangent
     interval: Optional[Interval]
-    measure_after: AtomicMeasure
     potential_after: PLConcave
-    noop: bool = False
+
+    @property
+    def noop(self) -> bool:
+        return self.interval is None
+
+    @cached_property
+    def measure_after(self) -> AtomicMeasure:
+        return self.potential_after.measure()
 
 
 @dataclass(frozen=True)
@@ -86,9 +96,11 @@ class EmbeddingPlan:
     the stopping point of the Vallois approximation (every other
     construction ends at residual 0); only complete plans may be simulated.
 
-    The pair (mu0, target), C and the ordered tangents define a plan: every
-    interval, measure and potential follows from them by ``cw_run``.  The
-    wire form holds exactly those, and ``from_wire`` replays them.
+    The pair (mu0, target), C and the ordered tangents define a plan:
+    ``cw_run`` cuts the running potential with each tangent in turn, which
+    fixes every interval and potential, and each measure is read off its
+    potential.  The wire form holds exactly those, and ``from_wire`` replays
+    them.
     """
 
     mu0: AtomicMeasure
@@ -208,43 +220,23 @@ def _cut_interval(g: PLConcave, f: Tangent):
     return lo, hi
 
 
-def _apply_tangent_potential(
-    g: PLConcave, f: Tangent, lo: Optional[Fraction], hi: Optional[Fraction]
-) -> PLConcave:
-    """The pointwise minimum of g and f when {f < g} = (lo, hi)."""
-    bps: list[tuple[Fraction, Fraction]] = []
-    left_slope = g.left_slope if lo is not None else f.slope
-    if lo is not None:
-        bps.extend(bp for bp in g.breakpoints if bp[0] < lo)
-        drop = g.derivatives(lo)[0] - f.slope
-        if drop > 0:
-            bps.append((lo, drop))
-    if hi is not None:
-        drop = f.slope - g.derivatives(hi)[1]
-        if drop > 0:
-            bps.append((hi, drop))
-        bps.extend(bp for bp in g.breakpoints if bp[0] > hi)
-        anchor = (hi, g.evaluate(hi))
-    else:
-        anchor = (lo, g.evaluate(lo))
-    return PLConcave(left_slope, tuple(bps), anchor)
+def _step(g: PLConcave, f: Tangent) -> Optional[Step]:
+    """The step cutting g with f, or None when f cuts nothing."""
+    cut = _cut_interval(g, f)
+    if cut is None:
+        return None
+    lo, hi = cut
+    return Step(f, Interval(lo, hi), g._cut(lo, hi, f.slope, f.intercept))
 
 
 def cw_step(potential: PLConcave, measure: AtomicMeasure, f: Tangent) -> Step:
     """Cut the running potential with one tangent.
 
-    Computes the strict sublevel interval, applies the matching balayage to
-    the measure, and returns the new state.  A tangent that only touches the
-    potential produces a flagged no-op with the state unchanged.
+    A tangent that only touches the potential gives a no-op step with the
+    potential unchanged.  ``measure`` is not read: the measure after the
+    step is read off its potential.
     """
-    cut = _cut_interval(potential, f)
-    if cut is None:
-        return Step(f, None, measure, potential, noop=True)
-    lo, hi = cut
-    interval = Interval(lo, hi)
-    new_measure = balayage(measure, interval)
-    new_potential = _apply_tangent_potential(potential, f, lo, hi)
-    return Step(f, interval, new_measure, new_potential)
+    return _step(potential, f) or Step(f, None, potential)
 
 
 def cw_run(
@@ -253,7 +245,7 @@ def cw_run(
     target: AtomicMeasure,
     C: Real,
 ) -> EmbeddingPlan:
-    """Fold cw_step over a tangent sequence.
+    """Fold the cut over a tangent sequence.
 
     C must be admissible (at least the potential gap of the pair); no-op
     tangents are dropped from the resulting plan.  The plan is complete iff
@@ -263,14 +255,13 @@ def cw_run(
     p = pair(mu0, target)
     if Cf < p.C:
         raise InadmissibleConstantError(f"C={Cf} below the admissible bound {p.C}")
-    g, m = p.u0, mu0
+    g = p.u0
     steps: list[Step] = []
     for f in tangents:
-        st = cw_step(g, m, f)
-        if st.noop:
-            continue
-        steps.append(st)
-        g, m = st.potential_after, st.measure_after
+        st = _step(g, f)
+        if st is not None:
+            steps.append(st)
+            g = st.potential_after
     residual = sup_difference(g, p.ut.shift(-Cf))
     return EmbeddingPlan(mu0, target, Cf, tuple(steps), residual)
 
@@ -362,7 +353,7 @@ def vallois_eps_plan(
     if max_steps < 0:
         raise InvalidParameterError("max_steps must be nonnegative")
     p = pair(mu0, target)
-    g, m = p.u0, mu0
+    g = p.u0
     steps: list[Step] = []
     stalled = 0
     for k in range(max_steps):
@@ -370,15 +361,13 @@ def vallois_eps_plan(
             break
         x0 = epsf if k % 2 == 0 else Fraction(0)
         f = _support_line_through(p.c, x0, g.evaluate(x0), "left" if k % 2 == 0 else "right")
-        st = cw_step(g, m, f)
-        if st.noop:
-            stalled += 1
-            if stalled >= 2:
-                break
-            continue
-        stalled = 0
-        steps.append(st)
-        g, m = st.potential_after, st.measure_after
+        st = _step(g, f)
+        stalled = stalled + 1 if st is None else 0
+        if stalled == 2:  # two lines in a row cut nothing
+            break
+        if st is not None:
+            steps.append(st)
+            g = st.potential_after
     residual = sup_difference(g, p.c)
     return EmbeddingPlan(mu0, target, p.C, tuple(steps), residual)
 
@@ -435,18 +424,8 @@ def expected_local_time_zero(plan: EmbeddingPlan) -> Fraction:
 
 
 def plan_shift_constants(plan: EmbeddingPlan) -> list[Fraction]:
-    """Cumulative potential shift after each step: zero across finite-interval
-    steps, increasing by delta_m at each semi-infinite step."""
-    out = []
-    c = Fraction(0)
-    m = plan.mu0
-    for st in plan.steps:
-        iv = st.interval
-        if iv is not None and not iv.is_finite:
-            if iv.upper is None:
-                c += delta_m(m, iv.lower, "above")
-            else:
-                c += delta_m(m, iv.upper, "below")
-        out.append(c)
-        m = st.measure_after
-    return out
+    """Cumulative potential shift after each step: the step's potential is
+    the potential of its measure shifted down by it.  It holds across
+    finite-interval steps and grows by delta_m at each semi-infinite one."""
+    return [st.measure_after.potential().evaluate(0) - st.potential_after.evaluate(0)
+            for st in plan.steps]

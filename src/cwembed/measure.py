@@ -9,10 +9,10 @@ A pair (mu0, target) fixes the potentials u0, ut, the gap constant C and
 c = ut - C; ``pair`` computes them once, keeping the last pair asked for.
 It raises InvalidParameterError unless both masses are exactly 1, so float
 thirds (mass 1 - 2**-54) are rejected, never rounded.  ``frac`` also reads
-numbers from outside: it refuses a bool, and a decimal string must be 0 or
-within a double's range.  MASS_TOL bounds the CLI's rescale of spec weights;
-VALUE_TOL is where an approximation may stop: a plan's ``complete``, the
-Vallois iteration and ``close_to``.
+numbers from outside: it refuses a bool and any magnitude beyond a double,
+and a decimal must not underflow.  MASS_TOL bounds the CLI's rescale of spec
+weights; VALUE_TOL is where an approximation may stop: a plan's ``complete``,
+the Vallois iteration and ``close_to``.
 """
 
 from __future__ import annotations
@@ -23,7 +23,8 @@ from dataclasses import dataclass
 from decimal import Decimal
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, NamedTuple, Sequence, Union
+from itertools import accumulate
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from .errors import InvalidParameterError, InvalidSplitError, MalformedPotentialError
 
@@ -38,8 +39,9 @@ VALUE_TOL = Fraction(1, 10**9)
 
 def frac(x: Union[Real, str]) -> Fraction:
     """Exact conversion to Fraction (floats convert without rounding).  A
-    bool is refused; a string is "p/q" or a decimal that is 0 or within a
-    double's range, checked before any power of ten is built."""
+    bool is refused, and so is a magnitude beyond a double's range; a string
+    is "p/q" or a decimal that is 0 or within that range, checked before any
+    power of ten is built.  A "p/q" may underflow a double."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -49,7 +51,12 @@ def frac(x: Union[Real, str]) -> Fraction:
         if not math.isfinite(approx) or (approx == 0) != exact.is_zero():
             raise ValueError(f"number {x} is out of range")
         return Fraction(exact)
-    return Fraction(x)
+    q = Fraction(x)
+    try:
+        float(q)
+    except OverflowError:
+        raise ValueError(f"number {x} is out of range") from None
+    return q
 
 
 @dataclass(frozen=True)
@@ -240,19 +247,13 @@ class PLConcave:
         """Function values at the breakpoints."""
         if not self.breakpoints:
             return ()
-        x0, y0 = self.anchor
-        xs, slopes = self.xs, self.slopes
-        k = bisect_right(xs, x0)  # anchor sits on segment k
-        vals: list[Fraction] = [Fraction(0)] * len(xs)
-        if k > 0:
-            vals[k - 1] = y0 - slopes[k] * (x0 - xs[k - 1])
-            for j in range(k - 2, -1, -1):
-                vals[j] = vals[j + 1] - slopes[j + 1] * (xs[j + 1] - xs[j])
-        if k < len(xs):
-            vals[k] = y0 + slopes[k] * (xs[k] - x0)
-            for j in range(k + 1, len(xs)):
-                vals[j] = vals[j - 1] + slopes[j] * (xs[j] - xs[j - 1])
-        return tuple(vals)
+        (x0, y0), xs, slopes = self.anchor, self.xs, self.slopes
+        rise = list(accumulate((s * (b - a) for s, a, b in zip(slopes[1:], xs, xs[1:])),
+                               initial=Fraction(0)))  # the values less values[0]
+        k = bisect_right(xs, x0)  # the anchor lies on segment k
+        r = max(k - 1, 0)
+        level = y0 - rise[r] - slopes[k] * (x0 - xs[r])
+        return tuple(v + level for v in rise)
 
     def __call__(self, x: Real) -> Fraction:
         return self.evaluate(x)
@@ -262,10 +263,9 @@ class PLConcave:
         if not self.breakpoints:
             x0, y0 = self.anchor
             return y0 + self.left_slope * (xf - x0)
-        j = bisect_right(self.xs, xf)
-        if j == 0:
-            return self.values[0] - self.slopes[0] * (self.xs[0] - xf)
-        return self.values[j - 1] + self.slopes[j] * (xf - self.xs[j - 1])
+        j = bisect_right(self.xs, xf)  # x lies on segment j
+        r = max(j - 1, 0)
+        return self.values[r] + self.slopes[j] * (xf - self.xs[r])
 
     def derivatives(self, x: Real) -> tuple[Fraction, Fraction]:
         """(left, right) derivatives at x."""
@@ -279,6 +279,29 @@ class PLConcave:
         """Add the constant c (O(1): anchor update only)."""
         x0, y0 = self.anchor
         return PLConcave(self.left_slope, self.breakpoints, (x0, y0 + frac(c)))
+
+    def _cut(self, lo: Optional[Fraction], hi: Optional[Fraction], slope: Fraction,
+             intercept: Fraction) -> "PLConcave":
+        """min(self, line) for the line x -> slope*x + intercept that lies
+        strictly below self exactly on (lo, hi), None for an infinite end.
+        The result shares self's pieces outside [lo, hi]; the kinks at lo and
+        hi are the only new ones, and the only ones checked."""
+        xs, slopes, values, bps = self.xs, self.slopes, self.values, self.breakpoints
+        i = 0 if lo is None else bisect_left(xs, lo)  # xs[:i] lie left of lo
+        j = len(xs) if hi is None else bisect_right(xs, hi)  # xs[j:] right of hi
+        kinks = (() if lo is None else ((lo, slopes[i] - slope),)) + (
+            () if hi is None else ((hi, slope - slopes[j]),))
+        if any(d <= 0 for _, d in kinks):
+            raise ValueError(f"a cut must add kinks of positive drop, got {kinks}")
+        kx = tuple(x for x, _ in kinks)
+        kv = tuple(slope * x + intercept for x in kx)
+        g = object.__new__(PLConcave)  # the kept pieces are valid already
+        g.__dict__.update(left_slope=self.left_slope if lo is not None else slope,
+                          breakpoints=bps[:i] + kinks + bps[j:], anchor=(kx[-1], kv[-1]),
+                          xs=xs[:i] + kx + xs[j:], values=values[:i] + kv + values[j:],
+                          slopes=(slopes[:i + 1] if lo is not None else ()) + (slope,)
+                          + (slopes[j:] if hi is not None else ()))
+        return g
 
     # -- inverse -----------------------------------------------------------
 

@@ -215,12 +215,8 @@ def ay_max_law(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fraction:
 def _structural_ok(plan: EmbeddingPlan, region: ContactRegion) -> bool:
     """No step interval strictly contains a point of the contact set; touching
     at an endpoint is allowed (absorption is permitted, crossing is not)."""
-    for st in plan.steps:
-        if st.interval is None:
-            continue
-        if region.meets_open_interval(st.interval.lower, st.interval.upper):
-            return False
-    return True
+    return not any(region.meets_open_interval(st.interval.lower, st.interval.upper)
+                   for st in plan.steps)
 
 
 def minimality_report(

@@ -3,6 +3,7 @@ import copy
 import io
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,23 @@ def test_build_verify_round_trip(spec_file, tmp_path, capsys):
     plan_file2 = tmp_path / "plan2.json"
     assert main(["build", "--spec", str(spec_file), "--out", str(plan_file2)]) == 0
     assert plan_file.read_bytes() == plan_file2.read_bytes()
+
+
+def test_build_verify_under_bench_tracer(spec_file, tmp_path, capsys, monkeypatch):
+    # the benchmark's profiling round runs every command under this tracer
+    # and does not check the outcomes, so a change the tracer breaks must
+    # fail here
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "bench"))
+    import tracing
+
+    rec = tracing.Recorder(keep_plans=False)
+    plan_file = tmp_path / "plan.json"
+    with tracing.instrument(rec):
+        assert main(["build", "--spec", str(spec_file), "--out", str(plan_file)]) == 0
+        assert main(["verify", "--spec", str(spec_file), "--plan", str(plan_file)]) == 0
+    assert {"cli.load_problem_spec", "construct.plan", "construct.from_wire",
+            "simulate.empirical_law"} <= {span[0] for span in rec.spans}
+    assert "PASS" in capsys.readouterr().out
 
 
 def test_verify_csv(spec_file, tmp_path, capsys):
@@ -216,6 +234,16 @@ def test_number_out_of_double_range_exit_2(tmp_path, capsys, number):
     assert f"number {number} is out of range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("C", ["1%s/1" % ("0" * 400), 10**400], ids=["p/q", "integer"])
+def test_custom_C_beyond_double_exit_2(tmp_path, capsys, C):
+    spec = dict(SPEC, construction={"type": "custom", "tangents": [], "C": C})
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(spec))
+    assert main(["build", "--spec", str(p), "--out", str(tmp_path / "x.json")]) == 2
+    err = capsys.readouterr().err
+    assert "construction.C: number" in err and "out of range" in err
+
+
 def test_custom_C_below_gap_exit_3(tmp_path, capsys):
     # the Azema-Yor tangents of +-1 -> 0 (gap 1) with C one part in 1e10 short
     spec = dict(SPEC, construction={"type": "custom", "tangents": [[1, -1], [-1, -1]],
@@ -334,6 +362,8 @@ def _set(path, value):
         (lambda w: w["steps"][2].pop("intercept"), "steps[2].intercept"),
         (lambda w: w["steps"].insert(2, dict(w["steps"][1])), "steps[2]"),
         (_set(["C"], "1e400"), "C"),
+        (_set(["C"], "1%s/1" % ("0" * 400)), "C"),
+        (_set(["C"], 10**400), "C"),
         (_set(["mu0"], [["1e2000000", 1]]), "mu0"),
         (_set(["steps", 1, "slope"], True), "steps[1].slope"),
     ],

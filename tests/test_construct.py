@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import probe_points, random_prob_measure
+from conftest import grid_point, probe_points, random_prob_measure
 from cwembed import (
     AtomicMeasure,
     EmbeddingPlan,
@@ -15,13 +15,16 @@ from cwembed import (
     Interval,
     InvalidParameterError,
     InvalidTangentError,
+    PLConcave,
     ProblemSpecError,
     Tangent,
     UndefinedBarycentreError,
     ay_sweep,
+    balayage,
     barycentre_phi,
     cw_run,
     cw_step,
+    delta_m,
     expected_local_time_zero,
     gap_constant,
     jacka_plan,
@@ -136,7 +139,8 @@ class TestCwRun:
             cw_run(PM1, [], D0, F(1, 2))
 
     def test_running_shift_constants(self):
-        # zero across finite steps, nondecreasing, consistent with the potentials
+        # unchanged across finite steps, up by delta_m across semi-infinite
+        # ones, consistent with the potentials
         plan = cw_run(PM1, tload([(-1, -1), (1, -1)]), D0, 1)
         assert plan_shift_constants(plan) == [F(1, 2), F(1)]
         rng = random.Random(21)
@@ -145,12 +149,64 @@ class TestCwRun:
             plan = cw_run(mu0, ay_sweep(mu0, mu), mu, gap_constant(mu0, mu))
             cs = plan_shift_constants(plan)
             assert all(c1 <= c2 for c1, c2 in zip(cs, cs[1:]))
+            m, prev = mu0, F(0)
             for st, c in zip(plan.steps, cs):
-                if st.interval.is_finite:
-                    pass
+                iv = st.interval
+                if iv.is_finite:
+                    assert c == prev
+                elif iv.upper is None:
+                    assert c == prev + delta_m(m, iv.lower, "above")
+                else:
+                    assert c == prev + delta_m(m, iv.upper, "below")
                 # potential_after == measure_after.potential() - c, everywhere
                 u = st.measure_after.potential().shift(-c)
                 assert sup_difference(u, st.potential_after) == 0
+                m, prev = st.measure_after, c
+
+
+def _random_cuts(rng, mu0):
+    """Lines through points below u_mu0, a third of them of slope +-1, so
+    that some cut a half line."""
+    u0, out = mu0.potential(), []
+    for _ in range(rng.randint(1, 8)):
+        s = rng.choice([F(-1), F(1), F(rng.randint(-4, 4), 4)])
+        x = grid_point(rng, span=6, denom=4)
+        out.append(Tangent(s, u0.evaluate(x) - s * x - F(rng.randint(0, 8), 4)))
+    return out
+
+
+SPLICE_PLANS = {
+    "azema-yor": lambda rng, mu0, mu: cw_run(mu0, ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)),
+    "reversed-azema-yor": lambda rng, mu0, mu: cw_run(
+        mu0, reversed_ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)
+    ),
+    "jacka": lambda rng, mu0, mu: jacka_plan(mu0, mu),
+    "vallois": lambda rng, mu0, mu: vallois_eps_plan(mu0, mu, F(1, rng.choice([2, 4, 8])), 8),
+    "custom": lambda rng, mu0, mu: cw_run(mu0, _random_cuts(rng, mu0), mu, gap_constant(mu0, mu)),
+}
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(SPLICE_PLANS)))
+@settings(max_examples=60, deadline=None)
+def test_spliced_potential_matches_rebuild(seed, kind):
+    # each cut splices the running potential: its pieces equal a validating
+    # rebuild, it is the previous potential off [lo, hi], and its slope drops
+    # give the balayage of the previous measure
+    rng = random.Random(seed)
+    mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
+    plan = SPLICE_PLANS[kind](rng, mu0, mu)
+    g, m = mu0.potential(), mu0
+    for st_ in plan.steps:
+        new, iv = st_.potential_after, st_.interval
+        rebuilt = PLConcave(new.left_slope, new.breakpoints, new.anchor)
+        assert (new.xs, new.slopes, new.values) == (rebuilt.xs, rebuilt.slopes, rebuilt.values)
+        for x in probe_points(g, new) + [e for e in (iv.lower, iv.upper) if e is not None]:
+            if iv.contains_strict(x):
+                assert new.evaluate(x) == st_.tangent(x) < g.evaluate(x)
+            else:
+                assert new.evaluate(x) == g.evaluate(x)
+        assert st_.measure_after == balayage(m, iv)
+        g, m = new, st_.measure_after
 
 
 class TestAySweep:

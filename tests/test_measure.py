@@ -76,6 +76,18 @@ class TestEvaluate:
     def test_far_field(self):
         assert D0.potential().evaluate(3) == -3
 
+    def test_anchor_anywhere(self):
+        # the values follow from the anchor wherever it sits: left of every
+        # kink, on one, between two or right of them all
+        rng = random.Random(12)
+        for _ in range(50):
+            m = random_prob_measure(rng, max_atoms=8)
+            u = m.potential()
+            for x in [u.xs[0] - 1, u.xs[-1] + 1, rng.choice(u.xs), F(rng.randint(-170, 170), 16)]:
+                moved = PLConcave(u.left_slope, u.breakpoints, (x, brute_potential(m, x)))
+                assert moved.values == tuple(brute_potential(m, y) for y in u.xs)
+                assert moved.evaluate(x + F(1, 3)) == brute_potential(m, x + F(1, 3))
+
 
 class TestDerivatives:
     def test_point_mass_kink(self):
@@ -258,7 +270,8 @@ class TestPair:
 class TestFrac:
     @pytest.mark.parametrize("text, value", [
         ("0.3", F(3, 10)), ("1e5", F(10**5)), ("-2.5E-3", F(-1, 400)), ("0e999999999", F(0)),
-        ("7/3", F(7, 3)), ("1e308", F(10**308)),
+        ("7/3", F(7, 3)), ("1e308", F(10**308)), ("1/1%s" % ("0" * 400), F(1, 10**400)),
+        ("-%s/%s" % (10**400, 10**100), -F(10**300)),
     ])
     def test_strings(self, text, value):
         assert frac(text) == value
@@ -267,6 +280,13 @@ class TestFrac:
     def test_refused_strings(self, text):
         with pytest.raises(ValueError):
             frac(text)
+
+    @pytest.mark.parametrize("number", [10**400, -(10**309), "1%s/1" % ("0" * 400),
+                                        "-%s/3" % (10**309)], ids=["int", "-int", "p/q", "-p/q"])
+    def test_refused_beyond_double(self, number):
+        # a "p/q" or an integer may underflow a double, but not overflow it
+        with pytest.raises(ValueError, match="out of range"):
+            frac(number)
 
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_refused(self, flag):
