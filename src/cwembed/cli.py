@@ -142,6 +142,9 @@ def load_problem_spec(path) -> ProblemSpec:
     _require(isinstance(sim, dict), "simulation must be an object", "simulation")
     with field_errors("mu0/mu"):  # positions must fit a double
         span = max([abs(float(x)) for x in mu0.positions + mu.positions] + [1.0])
+    # so must the default gammas, and with them every potential value
+    _require(math.isfinite(8 * span), "positions must lie within 1/8 of a double's range",
+             "mu0/mu")
     gammas = _numbers(sim.get("gammas", [2 * span, 4 * span, 8 * span]), "simulation.gammas")
     _require(all(g > 0 for g in gammas), "gammas must be positive", "simulation.gammas")
     thresholds = _numbers(sim.get("thresholds", [float(x) for x in mu.positions]),
@@ -182,8 +185,8 @@ def _analyze_payload(spec: ProblemSpec) -> dict:
     ]
     return {
         **minimality.contact_wire(p.C, region),
-        "mu0_potential": [[float(x), float(p.u0.evaluate(x))] for x in p.u0.xs],
-        "mu_potential": [[float(x), float(p.ut.evaluate(x))] for x in p.ut.xs],
+        "mu0_potential": [[float(x), float(v)] for x, v in zip(p.u0.xs, p.u0.values)],
+        "mu_potential": [[float(x), float(v)] for x, v in zip(p.ut.xs, p.ut.values)],
         "max_law_bound": bounds,
     }
 

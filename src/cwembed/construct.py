@@ -377,23 +377,40 @@ def vallois_eps_plan(
 
 
 def tangent_ratio_min(u0: PLConcave, c: PLConcave, x: Real):
-    """Exact min over lambda < x of (u0(x) - c(lambda)) / (x - lambda).
+    """Exact min over lambda < x of (u0(x) - c(lambda)) / (x - lambda);
+    c(x) must not exceed u0(x) (InvalidParameterError).
 
-    The ratio is monotone between kinks of c, so the candidates are the kinks
-    of c (and, harmlessly, of u0) below x plus the two limiting directions:
+    The ratio r is the slope of the chord from (lambda, c(lambda)) to
+    (x, u0(x)).  It is monotone between kinks of c, and since c is concave
+    its sublevel sets are intervals.  It is equal at two consecutive kinks
+    only when c's segment between them lies on a line through (x, u0(x)),
+    and then that value is its minimum.  So over c's kinks below x, r falls
+    (strictly, but for that one segment) and then rises strictly: the first
+    kink i with r(i) < r(i+1), found by bisection, or else the last kink
+    below x, is the largest kink minimizer.  The kinks of u0 never change
+    the result.  The other candidates are the two limiting directions:
     lambda -> -inf (value = left slope of c) and lambda -> x- (defined when
     u0(x) = c(x); value = left derivative of c at x).  Returns
     (min_value, largest_minimizer) where the minimizer is a Fraction, x
     itself for the lambda -> x- direction, or float('-inf').
     """
     xf = frac(x)
-    A = u0.evaluate(xf)
+    A, cx = u0.evaluate(xf), c.evaluate(xf)
+    if cx > A:  # the ratio would fall to -inf as lambda -> x-
+        raise InvalidParameterError(f"c({xf}) = {cx} lies above u0({xf}) = {A}")
+    xs, values = c.xs, c.values
+    m = bisect_left(xs, xf)  # c's kinks below x
+
+    @cache  # the bisection and the candidates revisit kinks
+    def r(i):
+        return (A - values[i]) / (xf - xs[i])
+
     items: list[tuple[Fraction, Union[Fraction, float]]] = []
-    for lam in sorted(set(c.xs) | set(u0.xs)):
-        if lam < xf:
-            items.append(((A - c.evaluate(lam)) / (xf - lam), lam))
+    if m:
+        i = bisect_left(range(m - 1), True, key=lambda k: r(k) < r(k + 1))
+        items.append((r(i), xs[i]))
     items.append((c.slopes[0], float("-inf")))
-    if c.evaluate(xf) == A:
+    if cx == A:
         items.append((c.derivatives(xf)[0], xf))
     best = min(v for v, _ in items)
     arg = max(k for v, k in items if v == best)

@@ -118,6 +118,13 @@ class AtomicMeasure:
     def total_mass(self) -> Fraction:
         return sum(self.weights, Fraction(0))
 
+    def __hash__(self) -> int:  # every ``pair`` lookup hashes both measures
+        return self._hash
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash(self.atoms)
+
     def is_probability(self) -> bool:
         """Total mass exactly 1."""
         return self.total_mass == 1

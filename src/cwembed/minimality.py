@@ -7,6 +7,7 @@ that a plan never crosses the contact set.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -146,8 +147,9 @@ def contact_region(mu0: AtomicMeasure, target: AtomicMeasure) -> ContactRegion:
 
 def max_law_bound(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fraction:
     """Upper bound on P(running max >= x) over all minimal embeddings of the
-    pair: inf over lambda < x of (1 + ratio)/2, clamped to [0, 1], minimized
-    exactly over the finite candidate set of the tangent ratio."""
+    pair: inf over lambda < x of (1 + ratio)/2, clamped to [0, 1].  The
+    tangent ratio's exact minimum is found by bisection over the kinks of
+    c = u_target - C below x (see tangent_ratio_min)."""
     p = pair(mu0, target)
     best, _ = tangent_ratio_min(p.u0, p.c, x)
     bound = (1 + best) / 2
@@ -155,53 +157,60 @@ def max_law_bound(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fractio
 
 
 def _max_exceedance_exact(plan: EmbeddingPlan, x: Real) -> Fraction:
-    """P(running max >= x) for a complete plan, by exact dynamic programming
-    over (position, exceeded) states with the hitting-race probabilities of
-    each balayage step."""
+    """P(running max >= x) for a plan, by exact dynamic programming over
+    (position, exceeded) states with the hitting-race probabilities of each
+    balayage step.  The states are kept as sorted positions, each with its
+    [max < x, max >= x] masses.  A step bisects for the positions strictly
+    inside its interval and moves only those, to the interval's ends, so the
+    work follows the mass that moves, not the number of atoms."""
     xf = frac(x)
-    states: dict[tuple[Fraction, bool], Fraction] = {}
+    xs: list[Fraction] = []  # the positions holding mass, ascending
+    mass: dict[Fraction, list[Fraction]] = {}
     for pos, w in plan.mu0.atoms:
-        key = (pos, pos >= xf)
-        states[key] = states.get(key, Fraction(0)) + w
+        xs.append(pos)
+        mass[pos] = [Fraction(0), w] if pos >= xf else [w, Fraction(0)]
+
+    def add(pos, flag, w):
+        mass[pos][flag] += w
+
     for st in plan.steps:
-        iv = st.interval
-        new: dict[tuple[Fraction, bool], Fraction] = {}
-
-        def add(pos, flag, w):
-            if w > 0:
-                key = (pos, flag)
-                new[key] = new.get(key, Fraction(0)) + w
-
-        for (pos, flag), w in states.items():
-            if not iv.contains_strict(pos):
-                add(pos, flag, w)
-                continue
-            a, b = iv.lower, iv.upper
-            if a is not None and b is not None:
-                p_lo = (b - pos) / (b - a)
-                # exit at b: the within-step maximum is b itself
-                add(b, flag or xf <= b, (1 - p_lo) * w)
-                if flag or xf <= pos:
-                    add(a, flag or xf <= pos, p_lo * w)
-                elif pos < xf <= b:
-                    q = ((pos - a) * (b - xf)) / ((xf - a) * (b - pos))
-                    add(a, True, p_lo * w * q)
-                    add(a, False, p_lo * w * (1 - q))
-                else:  # xf > b: unreachable within this step
-                    add(a, False, p_lo * w)
-            elif b is None:
-                # collapse down to a from pos > a; max has survival (pos-a)/(m-a)
-                if flag or xf <= pos:
-                    add(a, True, w)
+        a, b = st.interval.lower, st.interval.upper
+        i = 0 if a is None else bisect_right(xs, a)
+        j = len(xs) if b is None else bisect_left(xs, b)
+        inside = [(pos, mass.pop(pos)) for pos in xs[i:j]]
+        del xs[i:j]
+        for end in (b, a):  # both land at index i, a before b
+            if end is not None and end not in mass:
+                xs.insert(i, end)
+                mass[end] = [Fraction(0), Fraction(0)]
+        for pos, ws in inside:
+            for flag, w in enumerate(ws):
+                if not w:
+                    continue
+                if a is not None and b is not None:
+                    p_lo = (b - pos) / (b - a)
+                    # exit at b: the within-step maximum is b itself
+                    add(b, flag or xf <= b, (1 - p_lo) * w)
+                    if flag or xf <= pos:
+                        add(a, True, p_lo * w)
+                    elif pos < xf <= b:
+                        q = ((pos - a) * (b - xf)) / ((xf - a) * (b - pos))
+                        add(a, True, p_lo * w * q)
+                        add(a, False, p_lo * w * (1 - q))
+                    else:  # xf > b: unreachable within this step
+                        add(a, False, p_lo * w)
+                elif b is None:
+                    # collapse down to a from pos > a; max has survival (pos-a)/(m-a)
+                    if flag or xf <= pos:
+                        add(a, True, w)
+                    else:
+                        q = (pos - a) / (xf - a)
+                        add(a, True, w * q)
+                        add(a, False, w * (1 - q))
                 else:
-                    q = (pos - a) / (xf - a)
-                    add(a, True, w * q)
-                    add(a, False, w * (1 - q))
-            else:
-                # collapse up to b from pos < b; the within-step maximum is b
-                add(b, flag or xf <= b, w)
-        states = new
-    return sum((w for (_, flag), w in states.items() if flag), Fraction(0))
+                    # collapse up to b from pos < b; the within-step maximum is b
+                    add(b, flag or xf <= b, w)
+    return sum((ws[1] for ws in mass.values()), Fraction(0))
 
 
 def ay_max_law(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fraction:

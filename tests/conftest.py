@@ -5,7 +5,16 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from cwembed import AtomicMeasure  # noqa: E402
+from cwembed import (  # noqa: E402
+    AtomicMeasure,
+    Tangent,
+    ay_sweep,
+    cw_run,
+    gap_constant,
+    jacka_plan,
+    reversed_ay_sweep,
+    vallois_eps_plan,
+)
 
 
 def random_prob_measure(rng: random.Random, max_atoms=8, span=10, denom=16) -> AtomicMeasure:
@@ -31,3 +40,28 @@ def probe_points(*fns):
     if not xs:
         return [Fraction(0)]
     return [xs[0] - 1] + xs + [xs[-1] + 1]
+
+
+def random_cuts(rng: random.Random, mu0: AtomicMeasure) -> list[Tangent]:
+    """Lines through points below u_mu0, a third of them of slope +-1, so
+    that some cut a half line."""
+    u0, out = mu0.potential(), []
+    for _ in range(rng.randint(1, 8)):
+        s = rng.choice([Fraction(-1), Fraction(1), Fraction(rng.randint(-4, 4), 4)])
+        x = grid_point(rng, span=6, denom=4)
+        out.append(Tangent(s, u0.evaluate(x) - s * x - Fraction(rng.randint(0, 8), 4)))
+    return out
+
+
+#: a plan of each of the five constructions, from (rng, mu0, mu)
+PLAN_BUILDERS = {
+    "azema-yor": lambda rng, mu0, mu: cw_run(mu0, ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)),
+    "reversed-azema-yor": lambda rng, mu0, mu: cw_run(
+        mu0, reversed_ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)
+    ),
+    "jacka": lambda rng, mu0, mu: jacka_plan(mu0, mu),
+    "vallois": lambda rng, mu0, mu: vallois_eps_plan(
+        mu0, mu, Fraction(1, rng.choice([2, 4, 8])), 8
+    ),
+    "custom": lambda rng, mu0, mu: cw_run(mu0, random_cuts(rng, mu0), mu, gap_constant(mu0, mu)),
+}

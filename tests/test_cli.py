@@ -59,6 +59,10 @@ def test_analyze_json(spec_file, capsys):
     assert data["C"] == 1.0
     assert data["a_minus"] == 0.0 and data["a_plus"] == 0.0
     assert data["max_law_bound"] == [[0.5, 0.5]]
+    u0 = AtomicMeasure.from_wire(SPEC["mu0"]).potential()
+    assert data["mu0_potential"] == [[float(x), float(u0.evaluate(x))] for x in u0.xs]
+    assert data["mu0_potential"] == [[-1.0, -1.0], [1.0, -1.0]]
+    assert data["mu_potential"] == [[0.0, 0.0]]
 
 
 def test_trough_analyze_bound(tmp_path, capsys):
@@ -223,6 +227,20 @@ def test_position_beyond_double_exit_2(tmp_path, capsys):
     assert main(["analyze", "--spec", str(p)]) == 2
     err = capsys.readouterr().err
     assert "mu0/mu" in err and "Traceback" not in err
+
+
+# positions that fit a double, with potential values and default gammas that do not
+HUGE = {"mu0": [[-1.7e308, 0.75], [1.7e308, 0.25]],
+        "mu": [[-1.7e308, 0.5], [0, 0.25], [1.7e308, 0.25]]}
+
+
+@pytest.mark.parametrize("simulation", [{"gammas": [1]}, {}], ids=["gammas", "default"])
+def test_positions_beyond_eighth_of_double_exit_2(tmp_path, capsys, simulation):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps(dict(HUGE, simulation=simulation)))
+    assert main(["analyze", "--spec", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert "mu0/mu: positions must lie within" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("number", ["1e400", "-1e400", "1e-400", "0.5e-999999999"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import grid_point, probe_points, random_prob_measure
+from conftest import PLAN_BUILDERS, probe_points, random_prob_measure
 from cwembed import (
     AtomicMeasure,
     EmbeddingPlan,
@@ -164,29 +164,7 @@ class TestCwRun:
                 m, prev = st.measure_after, c
 
 
-def _random_cuts(rng, mu0):
-    """Lines through points below u_mu0, a third of them of slope +-1, so
-    that some cut a half line."""
-    u0, out = mu0.potential(), []
-    for _ in range(rng.randint(1, 8)):
-        s = rng.choice([F(-1), F(1), F(rng.randint(-4, 4), 4)])
-        x = grid_point(rng, span=6, denom=4)
-        out.append(Tangent(s, u0.evaluate(x) - s * x - F(rng.randint(0, 8), 4)))
-    return out
-
-
-SPLICE_PLANS = {
-    "azema-yor": lambda rng, mu0, mu: cw_run(mu0, ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)),
-    "reversed-azema-yor": lambda rng, mu0, mu: cw_run(
-        mu0, reversed_ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)
-    ),
-    "jacka": lambda rng, mu0, mu: jacka_plan(mu0, mu),
-    "vallois": lambda rng, mu0, mu: vallois_eps_plan(mu0, mu, F(1, rng.choice([2, 4, 8])), 8),
-    "custom": lambda rng, mu0, mu: cw_run(mu0, _random_cuts(rng, mu0), mu, gap_constant(mu0, mu)),
-}
-
-
-@given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(SPLICE_PLANS)))
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(PLAN_BUILDERS)))
 @settings(max_examples=60, deadline=None)
 def test_spliced_potential_matches_rebuild(seed, kind):
     # each cut splices the running potential: its pieces equal a validating
@@ -194,7 +172,7 @@ def test_spliced_potential_matches_rebuild(seed, kind):
     # give the balayage of the previous measure
     rng = random.Random(seed)
     mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
-    plan = SPLICE_PLANS[kind](rng, mu0, mu)
+    plan = PLAN_BUILDERS[kind](rng, mu0, mu)
     g, m = mu0.potential(), mu0
     for st_ in plan.steps:
         new, iv = st_.potential_after, st_.interval

@@ -315,3 +315,11 @@ class TestValidation:
     def test_wire_round_trip(self):
         m = AtomicMeasure.from_pairs([(-1.5, 0.25), (0.5, 0.75)])
         assert AtomicMeasure.from_wire(m.to_wire()) == m
+
+    def test_hash_of_equal_measures(self):
+        # built apart, equal measures hash equal: the hash is the atoms'
+        a = AtomicMeasure.from_pairs([(1, F(1, 4)), (-1, F(3, 4))])
+        b = AtomicMeasure.from_wire([["-1", "3/4"], [1, 0.25]])
+        assert a is not b and a == b
+        assert hash(a) == hash(b) == hash(a.atoms)
+        assert len({a, b, PM1}) == 2

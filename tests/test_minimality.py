@@ -3,13 +3,16 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from conftest import random_prob_measure
+from conftest import PLAN_BUILDERS, probe_points, random_prob_measure
 from cwembed import (
     AtomicMeasure,
     EmbeddingPlan,
     IncompletePlanError,
     InvalidParameterError,
+    PLConcave,
     Tangent,
     ay_max_law,
     ay_sweep,
@@ -24,6 +27,7 @@ from cwembed import (
     tangent_ratio_min,
     vallois_eps_plan,
 )
+from cwembed.minimality import _max_exceedance_exact
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -147,6 +151,59 @@ class TestMaxLawBound:
             assert raised
 
 
+def _scan_tangent_ratio_min(u0, c, x):
+    """Reference for tangent_ratio_min: the ratio at every kink of c and u0
+    below x, and the two limiting directions."""
+    xf = F(x)
+    A = u0.evaluate(xf)
+    items = [((A - c.evaluate(lam)) / (xf - lam), lam)
+             for lam in sorted(set(c.xs) | set(u0.xs)) if lam < xf]
+    items.append((c.slopes[0], float("-inf")))
+    if c.evaluate(xf) == A:
+        items.append((c.derivatives(xf)[0], xf))
+    best = min(v for v, _ in items)
+    return best, max(k for v, k in items if v == best)
+
+
+def _ratio_cases(rng, u0, c, x):
+    """c shifted down by a random amount, c shifted so that one of its
+    segment lines left of x passes through (x, u0(x)) (the ratio is flat
+    there), and a line with no kinks through a point on or below u0 at x."""
+    yield c.shift(-F(rng.randint(0, 3), rng.choice([1, 4])) * rng.randint(0, 1))
+    segments = [k for k in range(len(c.slopes)) if k == 0 or c.xs[k - 1] < x]
+    k = rng.choice(segments)
+    ref = max(k - 1, 0)
+    if c.xs:
+        line_at_x = c.values[ref] + c.slopes[k] * (x - c.xs[ref])
+        yield c.shift(u0.evaluate(x) - line_at_x)
+    s = F(rng.randint(-4, 4), 4)
+    yield PLConcave(s, (), (x, u0.evaluate(x) - F(rng.randint(0, 2), 2)))
+
+
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=80, deadline=None)
+def test_tangent_ratio_min_matches_scan(seed):
+    # the bisection against the ratio at every kink, on random pairs and on
+    # point-mass targets, at thresholds on, between and beyond the kinks
+    rng = random.Random(seed)
+    mu0 = random_prob_measure(rng, 8, span=4, denom=4)
+    mu = (AtomicMeasure.point(mu0.mean()) if rng.random() < 0.25
+          else random_prob_measure(rng, 8, span=4, denom=4))
+    u0, c = mu0.potential(), mu.potential().shift(-gap_constant(mu0, mu))
+    probes = probe_points(u0, c)
+    xs = probes + [(a + b) / 2 for a, b in zip(probes, probes[1:])] + [probes[0] - 3]
+    for x in xs:
+        for cx in _ratio_cases(rng, u0, c, x):
+            assert cx.evaluate(x) <= u0.evaluate(x)
+            assert tangent_ratio_min(u0, cx, x) == _scan_tangent_ratio_min(u0, cx, x)
+
+
+def test_tangent_ratio_min_refuses_c_above_u0():
+    u0 = PM1.potential()
+    with pytest.raises(InvalidParameterError, match="above u0"):
+        tangent_ratio_min(u0, u0.shift(F(1, 8)), 2)
+
+
 class TestAyMaxLaw:
     def test_trough_race(self):
         assert ay_max_law(D0, PM1, F(1, 2)) == F(2, 3)
@@ -180,6 +237,66 @@ class TestAyMaxLaw:
             assert all(a >= b for a, b in zip(vals, vals[1:]))
             for x, v in zip(xs, vals):
                 assert v >= mu.total_mass - mu.mass_below(x)
+
+
+def _full_state_max_exceedance(plan, x):
+    """Reference for _max_exceedance_exact: every (position, exceeded)
+    state visited at every step."""
+    xf = F(x)
+    states = {}
+    for pos, w in plan.mu0.atoms:
+        states[pos, pos >= xf] = states.get((pos, pos >= xf), F(0)) + w
+    for st_ in plan.steps:
+        iv, new = st_.interval, {}
+
+        def add(pos, flag, w):
+            if w > 0:
+                new[pos, flag] = new.get((pos, flag), F(0)) + w
+
+        for (pos, flag), w in states.items():
+            if not iv.contains_strict(pos):
+                add(pos, flag, w)
+                continue
+            a, b = iv.lower, iv.upper
+            if a is not None and b is not None:
+                p_lo = (b - pos) / (b - a)
+                add(b, flag or xf <= b, (1 - p_lo) * w)
+                if flag or xf <= pos:
+                    add(a, flag or xf <= pos, p_lo * w)
+                elif pos < xf <= b:
+                    q = ((pos - a) * (b - xf)) / ((xf - a) * (b - pos))
+                    add(a, True, p_lo * w * q)
+                    add(a, False, p_lo * w * (1 - q))
+                else:
+                    add(a, False, p_lo * w)
+            elif b is None:
+                if flag or xf <= pos:
+                    add(a, True, w)
+                else:
+                    q = (pos - a) / (xf - a)
+                    add(a, True, w * q)
+                    add(a, False, w * (1 - q))
+            else:
+                add(b, flag or xf <= b, w)
+        states = new
+    return sum((w for (_, flag), w in states.items() if flag), F(0))
+
+
+@given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(PLAN_BUILDERS)))
+@settings(max_examples=80, deadline=None)
+@example(seed=1, kind="custom")  # a plan with semi-infinite steps both ways
+def test_sparse_max_exceedance_matches_full_state(seed, kind):
+    # thresholds at the atoms, at every step's endpoints, between them and
+    # beyond every atom
+    rng = random.Random(seed)
+    mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
+    plan = PLAN_BUILDERS[kind](rng, mu0, mu)
+    points = {e for st_ in plan.steps for e in (st_.interval.lower, st_.interval.upper)}
+    points = sorted((points - {None}) | set(mu0.positions) | set(plan.final_measure.positions))
+    xs = points + [(a + b) / 2 for a, b in zip(points, points[1:])]
+    xs += [points[0] - 1, points[-1] + F(1, 3)]
+    for x in xs:
+        assert _max_exceedance_exact(plan, x) == _full_state_max_exceedance(plan, x)
 
 
 class TestReport:
