@@ -33,7 +33,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
@@ -59,10 +59,10 @@ class ProblemSpec:
     mu0: AtomicMeasure
     mu: AtomicMeasure
     construction: dict
-    n_paths: int = 100_000
-    seed: int = 0
-    gammas: list = field(default_factory=list)
-    thresholds: list = field(default_factory=list)
+    n_paths: int
+    seed: int
+    gammas: list
+    thresholds: list
 
 
 def _require(cond, message, fld):

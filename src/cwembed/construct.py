@@ -58,10 +58,6 @@ class Tangent:
     def __call__(self, x: Real) -> Fraction:
         return self.slope * frac(x) + self.intercept
 
-    def reflect(self) -> "Tangent":
-        """The line x -> f(-x)."""
-        return Tangent(-self.slope, self.intercept)
-
 
 @dataclass(frozen=True)
 class Step:
@@ -247,9 +243,11 @@ def cw_run(
 ) -> EmbeddingPlan:
     """Fold the cut over a tangent sequence.
 
-    C must be admissible (at least the potential gap of the pair); no-op
-    tangents are dropped from the resulting plan.  The plan is complete iff
-    the final potential equals the target potential shifted down by C.
+    C must be admissible (at least the potential gap of the pair).  This
+    fold alone judges whether a tangent cuts: one with no point strictly
+    below the running potential is dropped from the resulting plan, so
+    generators pass their lines unfiltered.  The plan is complete iff the
+    final potential equals the target potential shifted down by C.
     """
     Cf = frac(C)
     p = pair(mu0, target)
@@ -270,51 +268,42 @@ def cw_run(
 # tangent generators
 
 
-def _segment_tangents(c: PLConcave) -> list[Tangent]:
-    """One line per affine segment of c, indexed left to right (slopes
-    strictly decreasing)."""
-    out = []
-    for i, s in enumerate(c.slopes):
-        ref = max(i - 1, 0)
-        x, v = c.xs[ref], c.values[ref]
-        out.append(Tangent(s, v - s * x))
-    return out
-
-
 def ay_sweep(mu0: AtomicMeasure, target: AtomicMeasure) -> list[Tangent]:
-    """Azema-Yor tangent sequence: the segment lines of the shifted target
-    potential c = u_target - C with touch points sweeping left to right
-    (slopes decreasing from +1 to -1), skipping lines that cannot cut
-    anything (segments already lying on the starting potential).
+    """Azema-Yor tangent sequence: one line per affine segment of the shifted
+    target potential c = u_target - C, touch points sweeping left to right
+    (slopes strictly decreasing from +1 to -1).  Segments already lying on
+    the starting potential are kept; ``cw_run`` drops the lines that cut
+    nothing.
 
     This order makes each path race upward against a rising floor, the
     barycentre stopping rule, so the resulting plan maximizes the law of the
     running maximum among minimal embeddings; any order embeds the target,
     but only this one attains the maximum-law bound.
     """
-    p = pair(mu0, target)
-    return [f for f in _segment_tangents(p.c) if _cut_interval(p.u0, f) is not None]
+    c = pair(mu0, target).c
+    # a breakpoint on each segment: xs[k-1] on segment k, xs[0] on segment 0
+    xs, values = c.xs[:1] + c.xs, c.values[:1] + c.values
+    return [Tangent(s, v - s * x) for s, x, v in zip(c.slopes, xs, values)]
 
 
 def reversed_ay_sweep(mu0: AtomicMeasure, target: AtomicMeasure) -> list[Tangent]:
-    """Mirror image of ay_sweep under x -> -x (slopes increasing -1 to +1);
-    maximizes the law of the running minimum."""
-    mirrored = ay_sweep(mu0.reflect(), target.reflect())
-    return [f.reflect() for f in mirrored]
+    """The lines of ay_sweep right to left (slopes increasing from -1 to +1),
+    its mirror image under x -> -x; maximizes the law of the running
+    minimum."""
+    return ay_sweep(mu0, target)[::-1]
 
 
 def jacka_plan(mu0: AtomicMeasure, target: AtomicMeasure) -> EmbeddingPlan:
     """First cut with the horizontal tangent at the peak of c; then run the
     max-favouring sweep on the upper half (negative slopes, touch points left
     to right) and its mirror on the lower half (positive slopes, right to
-    left)."""
+    left).  ``cw_run`` drops the lines that cut nothing."""
     p = pair(mu0, target)
-    segs = _segment_tangents(p.c)
+    segs = ay_sweep(mu0, target)
     flat = Tangent(Fraction(0), max(p.c.values))
-    upper = [f for f in segs if f.slope < 0]
-    lower = [f for f in reversed(segs) if f.slope > 0]
-    tangents = [f for f in [flat] + upper + lower if _cut_interval(p.u0, f) is not None]
-    return cw_run(mu0, tangents, target, p.C)
+    falling = [f for f in segs if f.slope < 0]
+    rising = [f for f in reversed(segs) if f.slope > 0]
+    return cw_run(mu0, [flat] + falling + rising, target, p.C)
 
 
 def _support_line_through(c: PLConcave, x0: Fraction, y0: Fraction, touch: str) -> Tangent:

@@ -48,10 +48,15 @@ def render_plan_svg(plan: EmbeddingPlan) -> str:
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
 
+    def bar_y(i):  # step i's interval bar, below the plot area
+        return _H - _MARGIN + 14 + 9 * i
+
+    # the canvas ends at least 6 px below the last bar, as a five-step plan's does
+    height = max(_H, bar_y(len(plan.steps) - 1) + 6)
     parts = [
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{_H}" '
-        f'viewBox="0 0 {_W} {_H}">',
-        f'<rect x="0" y="0" width="{_W}" height="{_H}" fill="white"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_W}" height="{height}" '
+        f'viewBox="0 0 {_W} {height}">',
+        f'<rect x="0" y="0" width="{_W}" height="{height}" fill="white"/>',
     ]
 
     # axes
@@ -85,7 +90,7 @@ def render_plan_svg(plan: EmbeddingPlan) -> str:
         )
         a = st.interval.lower if st.interval.lower is not None else lo_x
         b = st.interval.upper if st.interval.upper is not None else hi_x
-        ybar = _H - _MARGIN + 14 + 9 * i
+        ybar = bar_y(i)
         parts.append(
             f'<line x1="{_fmt(px(a))}" y1="{_fmt(ybar)}" x2="{_fmt(px(b))}" '
             f'y2="{_fmt(ybar)}" stroke="#2ca02c" stroke-width="3"/>'

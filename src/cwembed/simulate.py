@@ -38,7 +38,7 @@ from .measure import AtomicMeasure
 #: positions closer than this are treated as the same atom when matching laws
 ATOM_TOL = 1e-9
 
-#: most paths one pass simulates: its per-path arrays take 49 bytes a path,
+#: most paths one pass simulates: its per-path arrays take 48 bytes a path,
 #: so a pass at the ceiling holds about 0.5 GB
 MAX_PATHS = 10**7
 
@@ -98,8 +98,9 @@ class _Paths(NamedTuple):
     """Per-path arrays of one Monte Carlo pass.
 
     ``gmin``/``gmax`` bound the whole range a path visited; ``pmin``/``pmax``
-    bound the range it visited before the last step in which it moved (the
-    start alone if it moved at most once).
+    bound the range it visited before the last step in which it moved: the
+    start alone if it moved once, and the empty range (+inf, -inf) if it
+    never moved.
     """
 
     start: np.ndarray
@@ -108,15 +109,15 @@ class _Paths(NamedTuple):
     gmin: np.ndarray
     pmax: np.ndarray
     pmin: np.ndarray
-    moved: np.ndarray
 
     def crossed(self, level: float) -> np.ndarray:
         """Per path, a visit to ``level`` strictly before the final stopping
         time.  Each step visits the interval between its sampled extremes,
         which holds the step's start and exit, so the visited set is one
         interval; a level equal to the final position counts only if it was
-        visited before the last move."""
-        return self.moved & np.where(
+        visited before the last move, so a path that never moved crosses
+        nothing."""
+        return np.where(
             self.final == level,
             (self.pmin <= level) & (level <= self.pmax),
             (self.gmin <= level) & (level <= self.gmax),
@@ -154,9 +155,8 @@ def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
     pos = start.copy()
     gmax = start.copy()
     gmin = start.copy()
-    pmax = start.copy()
-    pmin = start.copy()
-    moved = np.zeros(len(pos), dtype=bool)
+    pmax = np.full_like(start, -math.inf)  # empty until the path first moves
+    pmin = np.full_like(start, math.inf)
 
     with np.errstate(invalid="ignore", divide="ignore"):
         for k, (a, b) in enumerate(pd.steps):
@@ -167,20 +167,20 @@ def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
             gmax = np.where(inside, np.maximum(gmax, rng_hi), gmax)
             gmin = np.where(inside, np.minimum(gmin, rng_lo), gmin)
             pos = np.where(inside, newpos, pos)
-            moved |= inside
 
-    return _Paths(start, pos, gmax, gmin, pmax, pmin, moved)
+    return _Paths(start, pos, gmax, gmin, pmax, pmin)
 
 
 def _run_all(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
     pd = _PlanData(plan)
-    paths = _Paths(*(np.empty(n) for _ in range(6)), np.empty(n, dtype=bool))
+    paths = _Paths(*(np.empty(n) for _ in _Paths._fields))
     done = 0
     while done < n:
         rows = min(_CHUNK, n - done)
         u = _stream(seed, done, pd.row_len).random((rows, pd.row_len))
         for whole, part in zip(paths, _run_chunk(pd, u)):
             whole[done:done + rows] = part
+        del u  # free this chunk's draws before the next chunk draws its own
         done += rows
     for arr in paths:
         arr.flags.writeable = False  # shared by every reader of the memo
@@ -291,10 +291,10 @@ def tail_probability(
     paths = _pass(plan, n, seed)
     if side == "below":
         bound = conditioning.a_minus
-        cond = paths.start >= (-math.inf if bound == -math.inf else float(bound))
+        cond = paths.start >= float(bound)
     else:
         bound = conditioning.a_plus
-        cond = paths.start <= (math.inf if bound == math.inf else float(bound))
+        cond = paths.start <= float(bound)
     hits = paths.crossed(level) & cond
     p = float(np.mean(hits))
     se = math.sqrt(p * (1.0 - p) / n)

@@ -3,13 +3,16 @@ import copy
 import io
 import json
 import math
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwembed import AtomicMeasure, measure, minimality
+from cwembed import AtomicMeasure, ay_sweep, cw_run, measure, minimality
+from cwembed.diagram import render_plan_svg
 from cwembed.cli import load_problem_spec, main
 
 SPEC = {
@@ -186,6 +189,23 @@ def test_diagram_deterministic(spec_file, tmp_path):
     assert content == b.read_bytes()
     assert content.startswith(b"<svg")
     assert content.count(b"stroke-dasharray") == 2  # one dashed line per tangent
+
+
+@pytest.mark.parametrize("atoms, height", [(6, 480), (13, 543)])
+def test_diagram_canvas_holds_every_bar(atoms, height):
+    # step i's bar is drawn at y = 438 + 9i, 3 px thick; a 480-px canvas
+    # holds five bars, and a longer plan grows the canvas to 6 px below its last
+    mu = AtomicMeasure.from_pairs([(x - Fraction(atoms - 1, 2), Fraction(1, atoms))
+                                   for x in range(atoms)])
+    d0 = AtomicMeasure.point(0)
+    plan = cw_run(d0, ay_sweep(d0, mu), mu, 0)
+    svg = render_plan_svg(plan)
+    assert len(plan.steps) == atoms - 1
+    assert f'height="{height}" viewBox="0 0 800 {height}"' in svg
+    assert f'<rect x="0" y="0" width="800" height="{height}" fill="white"/>' in svg
+    bars = [float(y) for y in re.findall(r'y1="([^"]+)"[^>]*stroke="#2ca02c"', svg)]
+    assert len(bars) == len(plan.steps)
+    assert all(0 <= y - 1.5 and y + 1.5 <= height for y in bars)
 
 
 def test_float_precision_weights(tmp_path):

@@ -28,6 +28,7 @@ from cwembed import (
     expected_local_time_zero,
     gap_constant,
     jacka_plan,
+    pair,
     plan_shift_constants,
     reversed_ay_sweep,
     sup_difference,
@@ -194,11 +195,17 @@ class TestAySweep:
         assert [(f.slope, f.intercept) for f in swept] == [(1, -1), (-1, -1)]
 
     def test_identity_pair_empty(self):
-        assert ay_sweep(D0, D0) == []
+        # u_D0's two rays, both on the starting potential: cw_run keeps neither
+        swept = ay_sweep(D0, D0)
+        assert [(f.slope, f.intercept) for f in swept] == [(1, 0), (-1, 0)]
+        assert cw_run(D0, swept, D0, 0).steps == ()
 
     def test_trough_pair(self):
+        # the outer rays of u_PM1 lie on u_D0; only the flat line cuts
         swept = ay_sweep(D0, PM1)
-        assert [(f.slope, f.intercept) for f in swept] == [(0, -1)]
+        assert [(f.slope, f.intercept) for f in swept] == [(1, 0), (0, -1), (-1, 0)]
+        plan = cw_run(D0, swept, PM1, 0)
+        assert [(st.tangent.slope, st.tangent.intercept) for st in plan.steps] == [(0, -1)]
 
     def test_slope_order(self):
         rng = random.Random(3)
@@ -252,7 +259,9 @@ class TestReversedSweep:
         ]
 
     def test_empty(self):
-        assert reversed_ay_sweep(D0, D0) == []
+        swept = reversed_ay_sweep(D0, D0)
+        assert [(f.slope, f.intercept) for f in swept] == [(-1, 0), (1, 0)]
+        assert cw_run(D0, swept, D0, 0).steps == ()
 
     def test_embeds_random_pairs(self):
         rng = random.Random(14)
@@ -298,6 +307,59 @@ class TestJacka:
                 elif st.tangent.slope > 0:
                     assert iv.upper is not None and iv.upper <= first.upper
         assert checked > 10
+
+
+def _pre_filtered(u0, lines):
+    """The filter the sweeps once ran: keep a line only if it cuts u0."""
+    return [f for f in lines if _cut_interval(u0, f) is not None]
+
+
+def _jacka_lines(mu0, mu):
+    """jacka_plan's tangents: the flat line at c's peak, then c's falling
+    segment lines left to right and its rising ones right to left."""
+    segs = ay_sweep(mu0, mu)
+    flat = Tangent(F(0), max(pair(mu0, mu).c.values))
+    return ([flat] + [f for f in segs if f.slope < 0]
+            + [f for f in reversed(segs) if f.slope > 0])
+
+
+@given(seed=st.integers(0, 2**32))
+@settings(max_examples=60, deadline=None)
+def test_unfiltered_sweeps_match_pre_filtered(seed):
+    # cw_run drops exactly the lines the old pre-filter dropped: a line with
+    # no point below u0 has none below any later potential min(u0, ...)
+    rng = random.Random(seed)
+    mu0, mu = random_prob_measure(rng, 7), random_prob_measure(rng, 7)
+    C = gap_constant(mu0, mu)
+    u0 = mu0.potential()
+    fwd, rev = ay_sweep(mu0, mu), reversed_ay_sweep(mu0, mu)
+    mirrored = ay_sweep(mu0.reflect(), mu.reflect())
+    assert rev == [Tangent(-f.slope, f.intercept) for f in mirrored]
+    for lines, plan in [
+        (fwd, cw_run(mu0, fwd, mu, C)),
+        (rev, cw_run(mu0, rev, mu, C)),
+        (_jacka_lines(mu0, mu), jacka_plan(mu0, mu)),
+    ]:
+        kept = _pre_filtered(u0, lines)
+        oracle = cw_run(mu0, kept, mu, C)
+        assert plan.to_wire() == oracle.to_wire()
+        assert len(plan.steps) == len(oracle.steps)
+        for a, b in zip(plan.steps, oracle.steps):
+            assert (a.tangent, a.interval) == (b.tangent, b.interval)
+            g, h = a.potential_after, b.potential_after
+            assert (g.xs, g.slopes, g.values) == (h.xs, h.slopes, h.values)
+        assert plan.residual == oracle.residual == 0
+        for f in (f for f in lines if f not in kept):
+            assert all(f(x) >= u0.evaluate(x) for x in probe_points(u0))
+
+
+@pytest.mark.parametrize("kind", ["azema-yor", "reversed-azema-yor", "jacka"])
+def test_build_computes_one_pair(kind):
+    # every call of a build reads one pair: no reflected or other second pair
+    mu0 = AtomicMeasure.from_pairs([(-1, F(1, 4)), (F(1, 2), F(3, 4))])
+    pair.cache_clear()
+    PLANS[kind](mu0, FOUR)
+    assert pair.cache_info().misses == 1
 
 
 class TestVallois:
