@@ -14,7 +14,9 @@ Construction types: azema-yor, reversed-azema-yor, jacka,
 vallois (fields eps, max_steps), custom (fields tangents = [[slope,
 intercept], ...] and C).  The simulation block and its fields are optional.
 
-Every JSON number is the decimal it spells: 0.3 is exactly 3/10.  Weights
+Every JSON number is the decimal it spells: 0.3 is exactly 3/10.  It is
+read where its field is, so a number beyond a double's range is refused
+naming that field, and one in a key nothing reads is ignored.  Weights
 that miss mass 1 by at most 1e-12, such as 0.6666666666666666 and
 0.3333333333333333, are rescaled to mass exactly 1.  Counts and seeds must
 be integral numbers (1e5 is one).
@@ -78,6 +80,8 @@ def _numbers(value, fld) -> list:
 
 def _integer(value, fld) -> int:
     """An integral JSON number: 7 and 1e5 are, 7.5, true and "7" are not."""
+    with field_errors(fld):
+        value = frac(value) if isinstance(value, _Number) else value
     integral = (isinstance(value, int) and not isinstance(value, bool)
                 or isinstance(value, Fraction) and value.denominator == 1)
     shown = float(value) if isinstance(value, Fraction) else value
@@ -97,9 +101,17 @@ def _seed(value, fld) -> int:
     return seed
 
 
+class _Number(str):
+    """A JSON number with a fraction or an exponent, as the text it spells:
+    ``frac`` reads it at its field, so a range error can name the field."""
+
+    __iter__ = None  # a number, not a sequence of characters
+    __repr__ = str.__str__
+
+
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=frac)
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_Number)
     except json.JSONDecodeError as exc:
         raise ProblemSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
     except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8 or number, too deep

@@ -86,24 +86,26 @@ class Step:
 
 @dataclass(frozen=True)
 class EmbeddingPlan:
-    """Ordered balayage steps carrying the target shift constant C and the
-    residual sup-distance between the final potential and the shifted target
-    potential.  A plan is complete when the residual is at most VALUE_TOL,
-    the stopping point of the Vallois approximation (every other
-    construction ends at residual 0); only complete plans may be simulated.
+    """Ordered balayage steps carrying the target shift constant C.
 
     The pair (mu0, target), C and the ordered tangents define a plan:
     ``cw_run`` cuts the running potential with each tangent in turn, which
     fixes every interval and potential, and each measure is read off its
     potential.  The wire form holds exactly those, and ``from_wire`` replays
-    them.
+    them.  The residual sup|final potential - (ut - C)| is read off on first
+    use; the plan is complete when it is at most VALUE_TOL, where the Vallois
+    approximation stops (every other construction ends at 0).  Only
+    complete plans may be simulated.
     """
 
     mu0: AtomicMeasure
     target: AtomicMeasure
     C: Fraction
     steps: tuple[Step, ...]
-    residual: Fraction
+
+    @cached_property
+    def residual(self) -> Fraction:
+        return sup_difference(self.final_potential, pair(self.mu0, self.target).ut.shift(-self.C))
 
     @property
     def complete(self) -> bool:
@@ -246,8 +248,8 @@ def cw_run(
     C must be admissible (at least the potential gap of the pair).  This
     fold alone judges whether a tangent cuts: one with no point strictly
     below the running potential is dropped from the resulting plan, so
-    generators pass their lines unfiltered.  The plan is complete iff the
-    final potential equals the target potential shifted down by C.
+    generators pass their lines unfiltered.  It computes no residual: the
+    plan reads that off its final potential when asked.
     """
     Cf = frac(C)
     p = pair(mu0, target)
@@ -260,8 +262,7 @@ def cw_run(
         if st is not None:
             steps.append(st)
             g = st.potential_after
-    residual = sup_difference(g, p.ut.shift(-Cf))
-    return EmbeddingPlan(mu0, target, Cf, tuple(steps), residual)
+    return EmbeddingPlan(mu0, target, Cf, tuple(steps))
 
 
 # ---------------------------------------------------------------------------
@@ -332,8 +333,8 @@ def vallois_eps_plan(
     """Alternating tangent construction: lines supporting c from above whose
     crossing with the running potential is pinned at x = eps (positive slope,
     touching c to the left) and at x = 0 (negative slope, touching to the
-    right).  Iterates until the residual falls below tolerance or max_steps
-    is reached; a truncated plan is returned with its residual (the exact
+    right).  Tests sup|g - c| before each line, its own stop rule, and stops
+    below tolerance or at max_steps; a truncated plan is returned (the exact
     construction is the eps -> 0 limit and is not built here).
     """
     epsf = frac(eps)
@@ -357,8 +358,7 @@ def vallois_eps_plan(
         if st is not None:
             steps.append(st)
             g = st.potential_after
-    residual = sup_difference(g, p.c)
-    return EmbeddingPlan(mu0, target, p.C, tuple(steps), residual)
+    return EmbeddingPlan(mu0, target, p.C, tuple(steps))
 
 
 # ---------------------------------------------------------------------------

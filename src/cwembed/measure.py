@@ -5,8 +5,9 @@ All arithmetic is exact: positions, weights and function values are stored as
 is a rational), so identities such as mass conservation, potential round-trips
 and crossing computations hold with zero error.
 
-A pair (mu0, target) fixes the potentials u0, ut, the gap constant C and
-c = ut - C; ``pair`` computes them once, keeping the last pair asked for.
+A pair (mu0, target) fixes the potentials u0, ut, the gap constant C,
+c = ut - C and the contact set where u0 = c; ``pair`` computes them once,
+in one pass over the kinks, keeping the last pair asked for.
 It raises InvalidParameterError unless both masses are exactly 1, so float
 thirds (mass 1 - 2**-54) are rejected, never rounded.  ``frac`` also reads
 numbers from outside: it refuses a bool and any magnitude beyond a double,
@@ -29,6 +30,7 @@ from typing import Iterable, NamedTuple, Optional, Sequence, Union
 from .errors import InvalidParameterError, InvalidSplitError, MalformedPotentialError
 
 Real = Union[int, float, Fraction]
+Endpoint = Union[Fraction, float]  # float only for +-inf
 
 #: how far above or below 1 a measure's mass may be; the CLI rescales a
 #: spec measure whose decimals miss 1 by at most this to mass exactly 1
@@ -346,26 +348,37 @@ def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
 
 class Pair(NamedTuple):
     """The invariants of a pair (mu0, target): both potentials, the gap
-    constant C (the least admissible downward shift of ut) and c = ut - C."""
+    constant C (the least admissible downward shift of ut), c = ut - C and
+    the contact set where u0 = c as ascending closed components, with an
+    infinite end where a whole ray is in contact."""
 
     u0: PLConcave
     ut: PLConcave
     C: Fraction
     c: PLConcave
+    contact: tuple[tuple[Endpoint, Endpoint], ...]
 
 
 @lru_cache(maxsize=1)
 def pair(mu0: AtomicMeasure, target: AtomicMeasure) -> Pair:
-    """The pair's invariants, kept for the last pair asked for.  C is the
-    exact sup of ut - u0 over the union of kinks and the two rays (>= 0).
-    Raises InvalidParameterError unless both measures have mass exactly 1."""
+    """The pair's invariants, kept for the last pair asked for.  One pass
+    evaluates the gap ut - u0 at the kinks and on the two rays: C is its
+    largest value (>= 0), and as the gap is affine between kinks, the
+    contact set is the runs of probes where it equals C.  Raises
+    InvalidParameterError unless both measures have mass exactly 1."""
     if not (mu0.is_probability() and target.is_probability()):
         raise InvalidParameterError(
             f"a pair needs mass exactly 1, got {mu0.total_mass} and {target.total_mass}"
         )
     u0, ut = mu0.potential(), target.potential()
-    C = max(ut.evaluate(x) - u0.evaluate(x) for x in kink_probes(u0, ut))
-    return Pair(u0, ut, C, ut.shift(-C))
+    probes = kink_probes(u0, ut)
+    gaps = [ut.evaluate(x) - u0.evaluate(x) for x in probes]
+    C = max(gaps)
+    contact: list[tuple[Endpoint, Endpoint]] = []
+    for k, x in enumerate([-math.inf, *probes[1:-1], math.inf]):  # ends: the rays
+        if gaps[k] == C:  # consecutive contact probes make one component
+            contact.append((contact.pop()[0] if k and gaps[k - 1] == C else x, x))
+    return Pair(u0, ut, C, ut.shift(-C), tuple(contact))
 
 
 def gap_constant(mu0: AtomicMeasure, target: AtomicMeasure) -> Fraction:

@@ -10,12 +10,12 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import simulate
 from .construct import EmbeddingPlan, ay_sweep, cw_run, tangent_ratio_min
 from .errors import IncompletePlanError
-from .measure import AtomicMeasure, Real, frac, gap_constant, kink_probes, pair
+from .measure import AtomicMeasure, Endpoint, Real, frac, gap_constant, pair
 
 __all__ = [
     "ContactRegion",
@@ -27,8 +27,6 @@ __all__ = [
     "ay_max_law",
     "minimality_report",
 ]
-
-Endpoint = Union[Fraction, float]  # float only for +-inf
 
 
 @dataclass(frozen=True)
@@ -49,10 +47,6 @@ class ContactRegion:
     @property
     def a_plus(self) -> Endpoint:
         return self.components[-1][1] if self.components else -math.inf
-
-    def contains(self, x: Real) -> bool:
-        xf = frac(x)
-        return any(lo <= xf <= hi for lo, hi in self.components)
 
     def meets_open_interval(self, lo, hi) -> bool:
         """True iff some real point of the region lies strictly inside
@@ -113,36 +107,10 @@ class MinimalityReport:
 
 
 def contact_region(mu0: AtomicMeasure, target: AtomicMeasure) -> ContactRegion:
-    """Zero set of d = u_target - C - u_mu0 over [-inf, +inf].
-
-    d is piecewise linear and <= 0 with C the exact gap constant, so the zero
-    set is a finite union of kinks and flat segments, located exactly; an
-    infinite endpoint is included iff the asymptotic gap on that side is zero.
-    """
-    p = pair(mu0, target)
-    probes = kink_probes(p.u0, p.ut)
-    # the end probes stand for the rays, constant for probability pairs
-    d_left, *vals, d_right = [p.c.evaluate(x) - p.u0.evaluate(x) for x in probes]
-    xs = probes[1:-1]
-
-    components: list[list[Endpoint]] = []
-    if d_left == 0:
-        components.append([-math.inf, xs[0]])
-
-    def extend(lo, hi):
-        if components and components[-1][1] == lo:
-            components[-1][1] = hi
-        else:
-            components.append([lo, hi])
-
-    for i, x in enumerate(xs):
-        if vals[i] == 0:
-            extend(x, x)
-            if i + 1 < len(xs) and vals[i + 1] == 0:
-                extend(x, xs[i + 1])
-    if d_right == 0:
-        extend(xs[-1], math.inf)
-    return ContactRegion(tuple((lo, hi) for lo, hi in components))
+    """Zero set of d = u_target - C - u_mu0 over [-inf, +inf], exactly: a
+    finite union of kinks and flat segments, with an infinite end iff the
+    asymptotic gap there is zero.  ``pair`` finds it in its pass for C."""
+    return ContactRegion(pair(mu0, target).contact)
 
 
 def max_law_bound(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fraction:

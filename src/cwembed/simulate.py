@@ -212,8 +212,10 @@ def sample_path(plan: EmbeddingPlan, seed: int, index: int) -> PathSample:
 
     Identical to row ``index`` of any batched estimate with the same seed:
     the row replays through the kernel's exit law, recording each step the
-    path is inside.
+    path is inside.  A negative index, a row no batch has, is refused.
     """
+    if index < 0:
+        raise InvalidParameterError(f"path index must be >= 0, got {index}")
     pd = _PlanData(plan)
     u = _stream(seed, index, pd.row_len).random((1, pd.row_len))
     start = _starts(pd, u)

@@ -1,3 +1,4 @@
+import math
 import random
 import sys
 from fractions import Fraction
@@ -40,6 +41,38 @@ def probe_points(*fns):
     if not xs:
         return [Fraction(0)]
     return [xs[0] - 1] + xs + [xs[-1] + 1]
+
+
+def contact_scan(mu0: AtomicMeasure, mu: AtomicMeasure) -> tuple:
+    """Reference contact set of a pair: fresh potentials, the gap constant
+    by a scan over their kinks, and the zero set of c - u0 assembled kink by
+    kink, with +-inf ends for rays of zero gap."""
+    u0, ut = mu0.potential(), mu.potential()
+    probes = probe_points(u0, ut)
+    C = max(ut.evaluate(x) - u0.evaluate(x) for x in probes)
+    c = ut.shift(-C)
+    # the end probes stand for the rays, constant for probability pairs
+    d_left, *vals, d_right = [c.evaluate(x) - u0.evaluate(x) for x in probes]
+    xs = probes[1:-1]
+
+    components = []
+    if d_left == 0:
+        components.append([-math.inf, xs[0]])
+
+    def extend(lo, hi):
+        if components and components[-1][1] == lo:
+            components[-1][1] = hi
+        else:
+            components.append([lo, hi])
+
+    for i, x in enumerate(xs):
+        if vals[i] == 0:
+            extend(x, x)
+            if i + 1 < len(xs) and vals[i + 1] == 0:
+                extend(x, xs[i + 1])
+    if d_right == 0:
+        extend(xs[-1], math.inf)
+    return tuple((lo, hi) for lo, hi in components)
 
 
 def random_cuts(rng: random.Random, mu0: AtomicMeasure) -> list[Tangent]:

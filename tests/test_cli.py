@@ -272,6 +272,22 @@ def test_number_out_of_double_range_exit_2(tmp_path, capsys, number):
     assert f"number {number} is out of range" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("text, fld", [
+    ('"simulation": {"n_paths": 1e400}', "simulation.n_paths"),
+    ('"simulation": {"seed": -1e400}', "simulation.seed"),
+    ('"construction": {"type": "vallois", "eps": 1e400}', "construction.eps"),
+    ('"construction": {"type": "vallois", "eps": 0.5, "max_steps": 1e400}',
+     "construction.max_steps"),
+])
+def test_number_out_of_range_names_field(tmp_path, capsys, text, fld):
+    # a JSON number is read where its field is, so the message names the field
+    p = tmp_path / "s.json"
+    p.write_text('{"mu0": [[0, 1]], "mu": [[0, 1]], %s}' % text)
+    assert main(["analyze", "--spec", str(p)]) == 2
+    err = capsys.readouterr().err
+    assert f"{fld}: number " in err and "is out of range" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("C", ["1%s/1" % ("0" * 400), 10**400], ids=["p/q", "integer"])
 def test_custom_C_beyond_double_exit_2(tmp_path, capsys, C):
     spec = dict(SPEC, construction={"type": "custom", "tangents": [], "C": C})
@@ -415,6 +431,27 @@ def test_malformed_plan_exit_2(four_files, tmp_path, edit, fld, command):
     assert rc == 2
     assert f"cannot load plan: {fld}:" in err
     assert "Traceback" not in err
+
+
+def test_plan_number_out_of_range_names_field(four_files, tmp_path):
+    spec, wire = four_files
+    text = json.dumps(wire).replace('"C": "%s"' % wire["C"], '"C": 1e400')
+    path = tmp_path / "plan.json"
+    path.write_text(text)
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        assert main(["verify", "--spec", str(spec), "--plan", str(path)]) == 2
+    assert "cannot load plan: C: number 1e400 is out of range" in err.getvalue()
+
+
+def test_plan_residual_is_not_read(four_files, tmp_path):
+    # the residual is written for people to read; an out-of-range one is ignored
+    spec, wire = four_files
+    path = tmp_path / "plan.json"
+    path.write_text(json.dumps(wire).replace('"residual": 0.0', '"residual": 1e400'))
+    assert "1e400" in path.read_text()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify", "--spec", str(spec), "--plan", str(path)]) == 0
 
 
 _JUNK = [None, True, False, 2, -5, 1.5, math.nan, "x", "1/0", "", [], [[1]], {},

@@ -34,7 +34,10 @@ from cwembed import (
     sup_difference,
     vallois_eps_plan,
 )
+from cwembed import construct
 from cwembed.construct import _cut_interval
+from cwembed.diagram import render_plan_svg
+from cwembed.minimality import ay_max_law
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -138,6 +141,22 @@ class TestCwRun:
     def test_inadmissible_constant(self):
         with pytest.raises(InadmissibleConstantError):
             cw_run(PM1, [], D0, F(1, 2))
+
+    def test_forged_plan_not_complete(self):
+        # the residual is read off the final potential, not taken on trust
+        plan = EmbeddingPlan(D0, PM1, F(0), ())
+        assert plan.residual == 1 and not plan.complete
+
+    def test_residual_read_only_when_asked(self, monkeypatch):
+        wire = cw_run(D0, ay_sweep(D0, FOUR), FOUR, 0).to_wire()
+        calls, real = [], construct.sup_difference
+        monkeypatch.setattr(construct, "sup_difference", lambda f, g: calls.append(1) or real(f, g))
+        ay_max_law(D0, FOUR, F(1, 2))
+        plan = EmbeddingPlan.from_wire(wire)
+        render_plan_svg(plan)
+        assert calls == []
+        assert plan.complete and plan.complete and plan.residual == 0
+        assert len(calls) == 1
 
     def test_running_shift_constants(self):
         # unchanged across finite steps, up by delta_m across semi-infinite

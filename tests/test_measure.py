@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -5,13 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import probe_points, random_prob_measure
+from conftest import contact_scan, probe_points, random_prob_measure
 from cwembed import (
     AtomicMeasure,
     InvalidParameterError,
     InvalidSplitError,
     MalformedPotentialError,
     PLConcave,
+    Tangent,
+    balayage_finite,
+    cw_step,
     gap_constant,
     sup_difference,
 )
@@ -243,6 +247,24 @@ class TestGapConstant:
             assert min(diffs) == 0
 
 
+def _balayage_target(rng, mu0):
+    """mu0 swept out of one interval: the same mean, and the two potentials
+    agree outside the interval."""
+    a = min(mu0.positions) + F(rng.randint(0, 32), 16)
+    return balayage_finite(mu0, a, a + F(rng.randint(1, 64), 16))
+
+
+def _tails_target(rng, mu0):
+    """The measure left by cutting each ray of u0 with a parallel line: u0
+    then meets the shifted target potential on a finite flat run between
+    the two cuts."""
+    g = mu0.potential()
+    for s, x in ((1, mu0.positions[0]), (-1, mu0.positions[-1])):
+        d = F(rng.randint(1, 8), 16)
+        g = cw_step(g, mu0, Tangent(F(s), g.evaluate(x) - s * x - d)).potential_after
+    return g.measure()
+
+
 class TestPair:
     @given(seed=st.integers(0, 2**32))
     @settings(max_examples=60, deadline=None)
@@ -252,8 +274,34 @@ class TestPair:
         # the reference: fresh potentials and the gap scan over their kinks
         u0, ut = mu0.potential(), mu.potential()
         C = max(ut.evaluate(x) - u0.evaluate(x) for x in kink_probes(u0, ut))
-        assert pair(mu0, mu) == (u0, ut, C, ut.shift(-C))
+        assert pair(mu0, mu)[:4] == (u0, ut, C, ut.shift(-C))
+        assert pair(mu0, mu).contact == contact_scan(mu0, mu)
         assert gap_constant(mu0, mu) == C
+
+    @given(seed=st.integers(0, 2**32), kind=st.sampled_from(["balayage", "tails"]))
+    @settings(max_examples=60, deadline=None)
+    def test_contact_matches_scan(self, seed, kind):
+        # independent random pairs are checked in test_matches_fresh_scan
+        rng = random.Random(seed)
+        mu0 = random_prob_measure(rng, 6)
+        mu = (_balayage_target if kind == "balayage" else _tails_target)(rng, mu0)
+        contact = pair(mu0, mu).contact
+        assert contact == contact_scan(mu0, mu)
+        if kind == "balayage":  # equal means and u_mu <= u0: contact on both rays
+            assert pair(mu0, mu).C == 0
+            assert contact[0][0] == -math.inf and contact[-1][1] == math.inf
+
+    def test_contact_kinds_occur(self):
+        # the property's pairs hold contact on both rays and finite flat runs
+        rng = random.Random(5)
+        rays = runs = 0
+        for _ in range(40):
+            mu0 = random_prob_measure(rng, 6)
+            for mu in (_balayage_target(rng, mu0), _tails_target(rng, mu0)):
+                contact = pair(mu0, mu).contact
+                rays += contact[0][0] == -math.inf and contact[-1][1] == math.inf
+                runs += any(-math.inf < lo < hi < math.inf for lo, hi in contact)
+        assert rays >= 20 and runs >= 10
 
     def test_alternating_pairs(self):
         for _ in range(3):

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN_BUILDERS, probe_points, random_prob_measure
+from conftest import PLAN_BUILDERS, contact_scan, probe_points, random_prob_measure
 from cwembed import (
     AtomicMeasure,
     EmbeddingPlan,
@@ -27,6 +27,7 @@ from cwembed import (
     tangent_ratio_min,
     vallois_eps_plan,
 )
+from cwembed.measure import pair
 from cwembed.minimality import _max_exceedance_exact
 
 D0 = AtomicMeasure.point(0)
@@ -59,6 +60,20 @@ class TestContactRegion:
     def test_everything(self):
         r = contact_region(D0, D0)
         assert r.components == ((-math.inf, math.inf),)
+
+    def test_read_off_the_pair(self, monkeypatch):
+        # the pair finds its contact set in the pass that finds C, so the
+        # region evaluates no potential
+        mu0 = AtomicMeasure.from_pairs([(-2, F(1, 4)), (0, F(1, 2)), (3, F(1, 4))])
+        mu = AtomicMeasure.from_pairs([(-2, F(1, 4)), (-1, F(1, 4)), (1, F(1, 4)), (3, F(1, 4))])
+        pair(mu0, mu)
+        calls, real = [], PLConcave.evaluate
+        monkeypatch.setattr(PLConcave, "evaluate", lambda f, x: calls.append(x) or real(f, x))
+        region = contact_region(mu0, mu)
+        assert calls == []
+        monkeypatch.undo()
+        assert region.components == contact_scan(mu0, mu) == (
+            (-math.inf, F(-1)), (F(1), math.inf))
 
     def test_subset_of_cdf_bracket(self):
         # at a contact point the target CDF brackets the starting CDF
@@ -346,7 +361,7 @@ FLOAT_THIRDS = AtomicMeasure.from_pairs([(-1, 2 / 3), (2, 1 / 3)])
         lambda m: max_law_bound(D0, m, 1),
         lambda m: barycentre_phi(D0, m, 1),
         lambda m: ay_max_law(D0, m, 1),
-        lambda m: minimality_report(EmbeddingPlan(D0, m, F(0), (), F(0)), 100, [1], 0),
+        lambda m: minimality_report(EmbeddingPlan(D0, m, F(0), ()), 100, [1], 0),
         lambda m: cw_run(m, [], D0, 0),
     ],
     ids=["gap_constant", "cw_run", "ay_sweep", "reversed_ay_sweep", "jacka_plan",

@@ -67,6 +67,12 @@ class TestSamplePath:
         with pytest.raises(IncompletePlanError):
             sample_path(truncated, 0, 0)
 
+    @pytest.mark.parametrize("index", [-1, -(2**64)])
+    def test_negative_index_rejected(self, index):
+        # a batch has no row below 0 for the path to match
+        with pytest.raises(InvalidParameterError, match="index"):
+            sample_path(TROUGH_PLAN, 5, index)
+
 
 class TestEmpiricalLaw:
     def test_two_point_frequencies(self):
