@@ -24,7 +24,6 @@ from .errors import (
     IncompletePlanError,
     InvalidIntervalError,
     InvalidParameterError,
-    InvalidSplitError,
     InvalidTangentError,
     MalformedPotentialError,
     ProblemSpecError,

@@ -44,10 +44,6 @@ class Interval:
         xf = frac(x)
         return (self.lower is None or xf > self.lower) and (self.upper is None or xf < self.upper)
 
-    def closure_contains(self, x: Real) -> bool:
-        xf = frac(x)
-        return (self.lower is None or xf >= self.lower) and (self.upper is None or xf <= self.upper)
-
 
 def balayage_finite(m: AtomicMeasure, a: Real, b: Real) -> AtomicMeasure:
     """Sweep the mass of [a, b] onto {a, b} with the exit-probability weights

@@ -102,8 +102,9 @@ def _seed(value, fld) -> int:
 
 
 class _Number(str):
-    """A JSON number with a fraction or an exponent, as the text it spells:
-    ``frac`` reads it at its field, so a range error can name the field."""
+    """A JSON number, as the text it spells: ``frac`` reads it at its field,
+    so a range error, even on an integer too long for ``int``, can name the
+    field."""
 
     __iter__ = None  # a number, not a sequence of characters
     __repr__ = str.__str__
@@ -111,10 +112,11 @@ class _Number(str):
 
 def _read_json(path):
     try:
-        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_Number)
+        return json.loads(Path(path).read_text(encoding="utf-8"), parse_float=_Number,
+                          parse_int=_Number)
     except json.JSONDecodeError as exc:
         raise ProblemSpecError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}") from None
-    except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8 or number, too deep
+    except (OSError, ValueError, RecursionError) as exc:  # unreadable, bad UTF-8, too deep
         raise ProblemSpecError(f"cannot read {path}: {exc}") from None
 
 

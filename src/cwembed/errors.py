@@ -11,10 +11,6 @@ class MalformedPotentialError(EmbedError):
     """Slope profile of a piecewise-linear function is not of measure type."""
 
 
-class InvalidSplitError(EmbedError):
-    """Split mass outside the admissible bracket at the split point."""
-
-
 class InvalidIntervalError(EmbedError):
     """Interval endpoints out of order or otherwise unusable."""
 

@@ -27,7 +27,7 @@ from functools import cached_property, lru_cache
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
-from .errors import InvalidParameterError, InvalidSplitError, MalformedPotentialError
+from .errors import InvalidParameterError, MalformedPotentialError
 
 Real = Union[int, float, Fraction]
 Endpoint = Union[Fraction, float]  # float only for +-inf
@@ -147,10 +147,6 @@ class AtomicMeasure:
         af = frac(a)
         return sum((w for x, w in self.atoms if x <= af), Fraction(0))
 
-    def mass_at(self, a: Real) -> Fraction:
-        af = frac(a)
-        return sum((w for x, w in self.atoms if x == af), Fraction(0))
-
     # -- operations -------------------------------------------------------
 
     def potential(self) -> "PLConcave":
@@ -161,27 +157,6 @@ class AtomicMeasure:
         v0 = -sum((w * abs(x0 - x) for x, w in self.atoms), Fraction(0))
         bps = tuple((x, 2 * w) for x, w in self.atoms)
         return PLConcave(self.total_mass, bps, (x0, v0))
-
-    def split_at(self, a: Real, theta: Real) -> tuple["AtomicMeasure", "AtomicMeasure"]:
-        """Split into (lower, upper): lower agrees with self on (-inf, a),
-        is supported on (-inf, a] and has total mass theta; upper is the rest.
-        An atom at a is divided between the parts as needed.
-        """
-        af, th = frac(a), frac(theta)
-        lo_mass, hi_mass = self.mass_below(af), self.mass_upto(af)
-        if not lo_mass <= th <= hi_mass:
-            raise InvalidSplitError(
-                f"theta={th} outside admissible bracket [{lo_mass}, {hi_mass}] at {af}"
-            )
-        lower = [(x, w) for x, w in self.atoms if x < af]
-        upper = [(x, w) for x, w in self.atoms if x > af]
-        at_a = self.mass_at(af)
-        take = th - lo_mass
-        if take > 0:
-            lower.append((af, take))
-        if at_a - take > 0:
-            upper.insert(0, (af, at_a - take))
-        return AtomicMeasure(tuple(lower)), AtomicMeasure(tuple(upper))
 
     def reflect(self) -> "AtomicMeasure":
         """Image under x -> -x."""

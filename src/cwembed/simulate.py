@@ -11,14 +11,19 @@ One vectorised pass simulates the paths of ``(plan, n, seed)`` once and keeps,
 per path, the start, the final position, the range visited and the range
 visited before the last step in which the path moved.  Every estimate reads
 that pass: crossings of any level strictly before stopping follow from the
-ranges, so no per-level work runs inside the kernel.  The last pass is kept
+ranges, so no per-level work runs inside the kernel.  A path moves in a step
+only if it sits strictly inside the step's interval, so each step gathers
+those paths, draws their exit and far extreme, and scatters the results
+back; the other paths cost it only the inside test.  The last pass is kept
 in a one-entry memo, holding its plan weakly, so the law and the tail
 estimates of one plan share it.
 
 Per-path draw layout (row of ``row_len`` uniforms, padded to a multiple of 4
 so rows align with Philox counter blocks): column 0 selects the start by
 inverse CDF; step k uses columns 1+3k (exit), 2+3k (max), 3+3k (min).  Draws
-are consumed positionally whether or not a step applies to the path.
+are consumed positionally: a row keeps its columns for every step, whether
+or not the path is inside that step, and a step reads only the columns of
+the rows it moves.
 """
 
 from __future__ import annotations
@@ -42,7 +47,9 @@ ATOM_TOL = 1e-9
 #: so a pass at the ceiling holds about 0.5 GB
 MAX_PATHS = 10**7
 
-_CHUNK = 1 << 15
+#: paths per block of draws: a 32-step plan's block takes 6.5 MB, and a
+#: step's gathers and scatters stay in cache
+_CHUNK = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -129,28 +136,34 @@ def _starts(pd: _PlanData, u: np.ndarray) -> np.ndarray:
     return pd.positions[np.searchsorted(pd.cum, u[:, 0], side="right")]
 
 
-def _exit_law(u: np.ndarray, k: int, a: float, b: float, pos: np.ndarray):
-    """Step k, the interval (a, b), for paths at ``pos``: (exit position,
-    highest point, lowest point) reached in the step, drawn from columns
-    1+3k (exit), 2+3k (max) and 3+3k (min) of the rows ``u``.  Meaningful
-    only for rows with a < pos < b."""
-    ue = u[:, 1 + 3 * k]
-    vmax = 1.0 - u[:, 2 + 3 * k]  # in (0, 1]: safe survival inversions
-    vmin = 1.0 - u[:, 3 + 3 * k]
+def _exit_law(u: np.ndarray, rows, k: int, a: float, b: float, pos: np.ndarray):
+    """Step k, the interval (a, b), for the paths at ``pos`` on ``rows`` of
+    the draws ``u``, all with a < pos < b: (exit position, highest point,
+    lowest point) reached in the step.  Only the extreme on the far side from
+    the exit is random; it is drawn from column 2+3k (max) on a low exit and
+    3+3k (min) on a high one, the exit from column 1+3k.  Reads those rows
+    only."""
     if math.isfinite(a) and math.isfinite(b):
-        to_lo = ue < (b - pos) / (b - a)
-        smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
-        smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
-        return np.where(to_lo, a, b), np.where(to_lo, smax, b), np.where(to_lo, a, smin)
+        to_lo = u[rows, 1 + 3 * k] < (b - pos) / (b - a)
+        x = np.where(to_lo, a, b)  # the exit
+        y = np.where(to_lo, b, a)  # the far end
+        v = 1.0 - np.where(to_lo, u[rows, 2 + 3 * k], u[rows, 3 + 3 * k])  # in (0, 1]
+        # the far extreme m between pos and y: P(reach m | exit at x) = v
+        far = (y * (pos - x) + x * v * (y - pos)) / ((pos - x) + v * (y - pos))
+        return x, np.where(to_lo, far, x), np.where(to_lo, x, far)
     if math.isinf(b):
         # collapse down to a from above: P(max >= m) = (pos-a)/(m-a)
-        return np.full_like(pos, a), a + (pos - a) / vmax, np.full_like(pos, a)
+        hi = a + (pos - a) / (1.0 - u[rows, 2 + 3 * k])
+        return np.full_like(pos, a), hi, np.full_like(pos, a)
     # collapse up to b from below: P(min <= m) = (b-pos)/(b-m)
-    return np.full_like(pos, b), np.full_like(pos, b), b - (b - pos) / vmin
+    lo = b - (b - pos) / (1.0 - u[rows, 3 + 3 * k])
+    return np.full_like(pos, b), np.full_like(pos, b), lo
 
 
 def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
-    """Vectorized pass of one block of paths."""
+    """Vectorized pass of one block of paths.  Each step gathers the rows
+    strictly inside its interval, runs the exit law on those alone and
+    scatters the results back; the other rows keep their state untouched."""
     start = _starts(pd, u)
     pos = start.copy()
     gmax = start.copy()
@@ -158,15 +171,17 @@ def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
     pmax = np.full_like(start, -math.inf)  # empty until the path first moves
     pmin = np.full_like(start, math.inf)
 
-    with np.errstate(invalid="ignore", divide="ignore"):
-        for k, (a, b) in enumerate(pd.steps):
-            inside = (pos > a) & (pos < b)
-            newpos, rng_hi, rng_lo = _exit_law(u, k, a, b, pos)
-            pmax = np.where(inside, gmax, pmax)
-            pmin = np.where(inside, gmin, pmin)
-            gmax = np.where(inside, np.maximum(gmax, rng_hi), gmax)
-            gmin = np.where(inside, np.minimum(gmin, rng_lo), gmin)
-            pos = np.where(inside, newpos, pos)
+    for k, (a, b) in enumerate(pd.steps):
+        idx = np.flatnonzero((pos > a) & (pos < b))
+        if not idx.size:
+            continue
+        top, bottom = gmax[idx], gmin[idx]
+        pmax[idx] = top
+        pmin[idx] = bottom
+        new, hi, lo = _exit_law(u, idx, k, a, b, pos[idx])
+        pos[idx] = new
+        gmax[idx] = np.maximum(top, hi)
+        gmin[idx] = np.minimum(bottom, lo)
 
     return _Paths(start, pos, gmax, gmin, pmax, pmin)
 
@@ -223,7 +238,7 @@ def sample_path(plan: EmbeddingPlan, seed: int, index: int) -> PathSample:
     exits = []
     for k, (a, b) in enumerate(pd.steps):
         if a < pos[0] < b:
-            pos, top, bottom = _exit_law(u, k, a, b, pos)
+            pos, top, bottom = _exit_law(u, [0], k, a, b, pos)
             hi, lo = np.maximum(hi, top), np.minimum(lo, bottom)
             exits.append((plan.steps[k].interval, float(pos[0])))
     return PathSample(float(start[0]), tuple(exits), float(pos[0]), float(hi[0]), float(lo[0]))

@@ -8,6 +8,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from cwembed import (  # noqa: E402
     AtomicMeasure,
+    EmbedError,
+    Interval,
     Tangent,
     ay_sweep,
     cw_run,
@@ -16,6 +18,35 @@ from cwembed import (  # noqa: E402
     reversed_ay_sweep,
     vallois_eps_plan,
 )
+
+
+class InvalidSplitError(EmbedError):
+    """Split mass outside the admissible bracket at the split point."""
+
+
+def split_at(m: AtomicMeasure, a, theta) -> tuple[AtomicMeasure, AtomicMeasure]:
+    """Split m into (lower, upper): lower agrees with m on (-inf, a), is
+    supported on (-inf, a] and has total mass theta; upper is the rest.  An
+    atom at a is divided between the parts as needed."""
+    af, th = Fraction(a), Fraction(theta)
+    lo_mass, hi_mass = m.mass_below(af), m.mass_upto(af)
+    if not lo_mass <= th <= hi_mass:
+        raise InvalidSplitError(
+            f"theta={th} outside admissible bracket [{lo_mass}, {hi_mass}] at {af}"
+        )
+    lower = [(x, w) for x, w in m.atoms if x < af]
+    upper = [(x, w) for x, w in m.atoms if x > af]
+    take = th - lo_mass
+    if take > 0:
+        lower.append((af, take))
+    if hi_mass - th > 0:  # the rest of the atom at a
+        upper.insert(0, (af, hi_mass - th))
+    return AtomicMeasure(tuple(lower)), AtomicMeasure(tuple(upper))
+
+
+def closure_contains(iv: Interval, x) -> bool:
+    """x lies in the closed interval of iv."""
+    return (iv.lower is None or x >= iv.lower) and (iv.upper is None or x <= iv.upper)
 
 
 def random_prob_measure(rng: random.Random, max_atoms=8, span=10, denom=16) -> AtomicMeasure:

@@ -3,7 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import grid_point, probe_points, random_prob_measure
+from conftest import closure_contains, grid_point, probe_points, random_prob_measure
 from cwembed import (
     AtomicMeasure,
     Interval,
@@ -162,4 +162,4 @@ class TestInterval:
     def test_membership(self):
         iv = Interval.make(0, None)
         assert iv.contains_strict(1) and not iv.contains_strict(0)
-        assert iv.closure_contains(0)
+        assert closure_contains(iv, 0)

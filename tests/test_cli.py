@@ -278,6 +278,9 @@ def test_number_out_of_double_range_exit_2(tmp_path, capsys, number):
     ('"construction": {"type": "vallois", "eps": 1e400}', "construction.eps"),
     ('"construction": {"type": "vallois", "eps": 0.5, "max_steps": 1e400}',
      "construction.max_steps"),
+    # beyond Python's int-string limit: refused at its field, not by the parser
+    pytest.param('"simulation": {"n_paths": 1%s}' % ("0" * 5000), "simulation.n_paths",
+                 id="n_paths-5001-digits"),
 ])
 def test_number_out_of_range_names_field(tmp_path, capsys, text, fld):
     # a JSON number is read where its field is, so the message names the field

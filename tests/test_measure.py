@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import contact_scan, probe_points, random_prob_measure
+from conftest import InvalidSplitError, contact_scan, probe_points, random_prob_measure, split_at
 from cwembed import (
     AtomicMeasure,
     InvalidParameterError,
-    InvalidSplitError,
     MalformedPotentialError,
     PLConcave,
     Tangent,
@@ -160,18 +159,18 @@ class TestMeasureFromPotential:
 
 class TestSplit:
     def test_no_atom_at_cut(self):
-        lo, hi = PM1.split_at(0, F(1, 2))
+        lo, hi = split_at(PM1, 0, F(1, 2))
         assert lo == AtomicMeasure.from_pairs([(-1, F(1, 2))])
         assert hi == AtomicMeasure.from_pairs([(1, F(1, 2))])
 
     def test_divides_atom(self):
-        lo, hi = D0.split_at(0, F(3, 10))
+        lo, hi = split_at(D0, 0, F(3, 10))
         assert lo == AtomicMeasure.from_pairs([(0, F(3, 10))])
         assert hi == AtomicMeasure.from_pairs([(0, F(7, 10))])
 
     def test_out_of_bracket(self):
         with pytest.raises(InvalidSplitError):
-            D0.split_at(0, F(3, 2))
+            split_at(D0, 0, F(3, 2))
 
     @given(measures, st.integers(-100, 100), st.integers(0, 100))
     @settings(max_examples=60, deadline=None)
@@ -179,7 +178,7 @@ class TestSplit:
         a = F(anum, 8)
         lo_m, hi_m = m.mass_below(a), m.mass_upto(a)
         theta = lo_m + (hi_m - lo_m) * F(tnum, 100)
-        lo, hi = m.split_at(a, theta)
+        lo, hi = split_at(m, a, theta)
         assert lo.total_mass == theta
         assert lo.total_mass + hi.total_mass == m.total_mass
         assert all(x <= a for x in lo.positions)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN_BUILDERS, contact_scan, probe_points, random_prob_measure
+from conftest import PLAN_BUILDERS, contact_scan, probe_points, random_prob_measure, split_at
 from cwembed import (
     AtomicMeasure,
     EmbeddingPlan,
@@ -110,8 +110,8 @@ class TestContactRegion:
             for a, z in zip(pts, pts[1:]):
                 theta_a = mu0.mass_below(a)
                 theta_z = mu0.mass_upto(z)
-                mid0 = mu0.split_at(z, theta_z)[0].split_at(a, theta_a)[1]
-                mid = mu.split_at(z, theta_z)[0].split_at(a, theta_a)[1]
+                mid0 = split_at(split_at(mu0, z, theta_z)[0], a, theta_a)[1]
+                mid = split_at(split_at(mu, z, theta_z)[0], a, theta_a)[1]
                 assert mid.total_mass == mid0.total_mass
                 if mid.total_mass > 0:
                     assert mid.mean() == mid0.mean()

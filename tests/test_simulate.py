@@ -1,14 +1,18 @@
 import gc
 import json
 import math
+import random
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import cwembed.simulate as sim
 from cwembed import (
     AtomicMeasure,
+    EmbeddingPlan,
     EmpiricalLaw,
     IncompletePlanError,
     InvalidParameterError,
@@ -25,6 +29,10 @@ from cwembed import (
     vallois_eps_plan,
 )
 from cwembed.cli import main
+from conftest import PLAN_BUILDERS, random_prob_measure
+
+# every float warning is a failure: the kernel only divides where it is safe
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -38,6 +46,14 @@ WASTEFUL_PLAN = cw_run(
 )
 AY_PLAN = cw_run(D0, ay_sweep(D0, ASYM), ASYM, 0)
 VALLOIS_PLAN = vallois_eps_plan(D0, PM1, F(1, 2), 200)
+
+NAMED_PLANS = {
+    "trough": TROUGH_PLAN,
+    "lift": LIFT_PLAN,
+    "wasteful": WASTEFUL_PLAN,
+    "azema-yor": AY_PLAN,
+    "vallois": VALLOIS_PLAN,
+}
 
 
 class TestSamplePath:
@@ -104,16 +120,18 @@ class TestEmpiricalLaw:
         c = empirical_law(TROUGH_PLAN, 30_000, seed=9, thresholds=[0.3])
         assert a == c
 
-    def test_batch_matches_single_paths(self):
-        paths = sim._run_all(TROUGH_PLAN, 500, 42)
-        for i in [0, 1, 99, 499]:
-            p = sample_path(TROUGH_PLAN, 42, i)
-            assert (p.start, p.final, p.max, p.min) == (
-                paths.start[i],
-                paths.final[i],
-                paths.gmax[i],
-                paths.gmin[i],
-            )
+    def test_batch_matches_single_paths(self, monkeypatch):
+        monkeypatch.setattr(sim, "_CHUNK", 64)  # rows 63/64 and 127/128 straddle chunks
+        for plan in NAMED_PLANS.values():
+            paths = sim._run_all(plan, 500, 42)
+            for i in [0, 1, 63, 64, 99, 127, 128, 499]:
+                p = sample_path(plan, 42, i)
+                assert (p.start, p.final, p.max, p.min) == (
+                    paths.start[i],
+                    paths.final[i],
+                    paths.gmax[i],
+                    paths.gmin[i],
+                )
 
     def test_n_validation_shared(self):
         region = contact_region(D0, PM1)
@@ -235,6 +253,62 @@ class TestWithinStepExtremes:
             assert abs(np.mean(paths.gmax >= m) - p) <= 3 * se
 
 
+def _reference_chunk(pd, u):
+    """The full-length kernel that per-step gathering replaced: every step
+    runs the exit law on all rows and merges only the rows inside its
+    interval."""
+    start = pd.positions[np.searchsorted(pd.cum, u[:, 0], side="right")]
+    pos, gmax, gmin = start.copy(), start.copy(), start.copy()
+    pmax = np.full_like(start, -math.inf)
+    pmin = np.full_like(start, math.inf)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        for k, (a, b) in enumerate(pd.steps):
+            ue = u[:, 1 + 3 * k]
+            vmax = 1.0 - u[:, 2 + 3 * k]
+            vmin = 1.0 - u[:, 3 + 3 * k]
+            inside = (pos > a) & (pos < b)
+            if math.isfinite(a) and math.isfinite(b):
+                to_lo = ue < (b - pos) / (b - a)
+                smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
+                smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
+                newpos = np.where(to_lo, a, b)
+                rng_hi = np.where(to_lo, smax, b)
+                rng_lo = np.where(to_lo, a, smin)
+            elif math.isinf(b):
+                newpos = np.full_like(pos, a)
+                rng_hi = a + (pos - a) / vmax
+                rng_lo = np.full_like(pos, a)
+            else:
+                newpos = np.full_like(pos, b)
+                rng_hi = np.full_like(pos, b)
+                rng_lo = b - (b - pos) / vmin
+            pmax = np.where(inside, gmax, pmax)
+            pmin = np.where(inside, gmin, pmin)
+            gmax = np.where(inside, np.maximum(gmax, rng_hi), gmax)
+            gmin = np.where(inside, np.minimum(gmin, rng_lo), gmin)
+            pos = np.where(inside, newpos, pos)
+    return sim._Paths(start, pos, gmax, gmin, pmax, pmin)
+
+
+def _assert_same_bits(paths, ref):
+    for name, got, want in zip(sim._Paths._fields, paths, ref):
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
+
+def _simulable(plan):
+    """The plan's steps with the target set to where they end, so that a plan
+    stopped early or cut at random is complete and may be simulated."""
+    end = plan.final_measure
+    C = end.potential().evaluate(0) - plan.final_potential.evaluate(0)
+    return EmbeddingPlan(plan.mu0, end, C, plan.steps)
+
+
+def _random_plan(seed, kind):
+    rng = random.Random(seed)
+    mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
+    return _simulable(PLAN_BUILDERS[kind](rng, mu0, mu))
+
+
 def _reference_crossings(pd, u, levels):
     """The per-level kernel the range-based crossing replaced: tc flags a
     touch of the level in the last step the path moved in (at first, the
@@ -274,11 +348,7 @@ def _reference_crossings(pd, u, levels):
 
 
 class TestRangeCrossings:
-    @pytest.mark.parametrize(
-        "plan",
-        [TROUGH_PLAN, LIFT_PLAN, WASTEFUL_PLAN, AY_PLAN, VALLOIS_PLAN],
-        ids=["trough", "lift", "wasteful", "azema-yor", "vallois"],
-    )
+    @pytest.mark.parametrize("plan", NAMED_PLANS.values(), ids=NAMED_PLANS.keys())
     def test_matches_per_level_reference(self, plan):
         pd = sim._PlanData(plan)
         u = sim._stream(61, 0, pd.row_len).random((20_000, pd.row_len))
@@ -294,6 +364,54 @@ class TestRangeCrossings:
             assert np.array_equal(paths.crossed(lv), ref), lv
         if plan is WASTEFUL_PLAN:
             assert paths.crossed(-4.0).any()  # the leak the tail test measures
+
+
+class TestReferenceKernel:
+    @pytest.mark.parametrize("plan", NAMED_PLANS.values(), ids=NAMED_PLANS.keys())
+    def test_matches_full_length_kernel(self, plan):
+        pd = sim._PlanData(plan)
+        u = sim._stream(67, 0, pd.row_len).random((20_000, pd.row_len))
+        _assert_same_bits(sim._run_chunk(pd, u), _reference_chunk(pd, u))
+
+    @given(
+        seed=st.integers(0, 2**32),
+        kind=st.sampled_from(sorted(PLAN_BUILDERS)),
+        rows=st.integers(1, 64),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_random_plans_match_full_length_kernel(self, seed, kind, rows):
+        # with few rows, some steps hold no path and move nobody
+        pd = sim._PlanData(_random_plan(seed, kind))
+        u = sim._stream(seed, 0, pd.row_len).random((rows, pd.row_len))
+        _assert_same_bits(sim._run_chunk(pd, u), _reference_chunk(pd, u))
+
+    def test_property_covers_idle_and_unbounded_steps(self):
+        # the property's plans have steps on half lines and, with few rows,
+        # steps that no row is inside
+        unbounded = idle = 0
+        for seed in range(40):
+            plan = _random_plan(seed, sorted(PLAN_BUILDERS)[seed % 5])
+            steps = {st_.interval for st_ in plan.steps}
+            moved = {iv for i in range(4) for iv, _ in sample_path(plan, seed, i).exits}
+            unbounded += any(None in (iv.lower, iv.upper) for iv in steps)
+            idle += moved < steps
+        assert unbounded >= 20 and idle >= 5
+
+    @pytest.mark.parametrize("plan", NAMED_PLANS.values(), ids=NAMED_PLANS.keys())
+    def test_exit_law_sees_only_moving_rows(self, plan, monkeypatch):
+        # the rows the kernel hands the exit law add up to the paths' exits
+        rows = []
+        exit_law = sim._exit_law
+
+        def recording(*args):
+            rows.append(len(args[-1]))  # the rows of pos, the last argument
+            return exit_law(*args)
+
+        monkeypatch.setattr(sim, "_exit_law", recording)
+        monkeypatch.setattr(sim, "_CHUNK", 128)
+        sim._run_all(plan, 300, 71)
+        moved = sum(rows)
+        assert moved == sum(len(sample_path(plan, 71, i).exits) for i in range(300))
 
 
 class TestSharedPass:
