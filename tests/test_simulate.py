@@ -253,6 +253,22 @@ class TestWithinStepExtremes:
             assert abs(np.mean(paths.gmax >= m) - p) <= 3 * se
 
 
+def _reference_exit_law(u, k, a, b, pos):
+    """The exit law of the full-length kernel: both extremes for every row,
+    meaningful only for rows with a < pos < b."""
+    ue = u[:, 1 + 3 * k]
+    vmax = 1.0 - u[:, 2 + 3 * k]
+    vmin = 1.0 - u[:, 3 + 3 * k]
+    if math.isfinite(a) and math.isfinite(b):
+        to_lo = ue < (b - pos) / (b - a)
+        smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
+        smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
+        return np.where(to_lo, a, b), np.where(to_lo, smax, b), np.where(to_lo, a, smin)
+    if math.isinf(b):
+        return np.full_like(pos, a), a + (pos - a) / vmax, np.full_like(pos, a)
+    return np.full_like(pos, b), np.full_like(pos, b), b - (b - pos) / vmin
+
+
 def _reference_chunk(pd, u):
     """The full-length kernel that per-step gathering replaced: every step
     runs the exit law on all rows and merges only the rows inside its
@@ -263,25 +279,8 @@ def _reference_chunk(pd, u):
     pmin = np.full_like(start, math.inf)
     with np.errstate(invalid="ignore", divide="ignore"):
         for k, (a, b) in enumerate(pd.steps):
-            ue = u[:, 1 + 3 * k]
-            vmax = 1.0 - u[:, 2 + 3 * k]
-            vmin = 1.0 - u[:, 3 + 3 * k]
             inside = (pos > a) & (pos < b)
-            if math.isfinite(a) and math.isfinite(b):
-                to_lo = ue < (b - pos) / (b - a)
-                smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
-                smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
-                newpos = np.where(to_lo, a, b)
-                rng_hi = np.where(to_lo, smax, b)
-                rng_lo = np.where(to_lo, a, smin)
-            elif math.isinf(b):
-                newpos = np.full_like(pos, a)
-                rng_hi = a + (pos - a) / vmax
-                rng_lo = np.full_like(pos, a)
-            else:
-                newpos = np.full_like(pos, b)
-                rng_hi = np.full_like(pos, b)
-                rng_lo = b - (b - pos) / vmin
+            newpos, rng_hi, rng_lo = _reference_exit_law(u, k, a, b, pos)
             pmax = np.where(inside, gmax, pmax)
             pmin = np.where(inside, gmin, pmin)
             gmax = np.where(inside, np.maximum(gmax, rng_hi), gmax)
@@ -319,25 +318,8 @@ def _reference_crossings(pd, u, levels):
     tc = [pos == lv for lv in levels]
     with np.errstate(invalid="ignore", divide="ignore"):
         for k, (a, b) in enumerate(pd.steps):
-            ue = u[:, 1 + 3 * k]
-            vmax = 1.0 - u[:, 2 + 3 * k]
-            vmin = 1.0 - u[:, 3 + 3 * k]
             inside = (pos > a) & (pos < b)
-            if math.isfinite(a) and math.isfinite(b):
-                to_lo = ue < (b - pos) / (b - a)
-                smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
-                smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
-                newpos = np.where(to_lo, a, b)
-                rng_hi = np.where(to_lo, smax, b)
-                rng_lo = np.where(to_lo, a, smin)
-            elif math.isinf(b):
-                newpos = np.full_like(pos, a)
-                rng_hi = a + (pos - a) / vmax
-                rng_lo = np.full_like(pos, a)
-            else:
-                newpos = np.full_like(pos, b)
-                rng_hi = np.full_like(pos, b)
-                rng_lo = b - (b - pos) / vmin
+            newpos, rng_hi, rng_lo = _reference_exit_law(u, k, a, b, pos)
             for j, lv in enumerate(levels):
                 touched = inside & (rng_lo <= lv) & (lv <= rng_hi)
                 tb[j] = np.where(inside, tb[j] | tc[j], tb[j])
