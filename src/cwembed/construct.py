@@ -93,9 +93,10 @@ class EmbeddingPlan:
     fixes every interval and potential, and each measure is read off its
     potential.  The wire form holds exactly those, and ``from_wire`` replays
     them.  The residual sup|final potential - (ut - C)| is read off on first
-    use; the plan is complete when it is at most VALUE_TOL, where the Vallois
-    approximation stops (every other construction ends at 0).  Only
-    complete plans may be simulated.
+    use; the plan is complete when it is at most VALUE_TOL, which is there
+    for one reason: only a Vallois plan stops short and ends off the target
+    atoms (every other construction ends at 0).  Only complete plans may be
+    simulated.
     """
 
     mu0: AtomicMeasure
@@ -347,7 +348,7 @@ def vallois_eps_plan(
     steps: list[Step] = []
     stalled = 0
     for k in range(max_steps):
-        if sup_difference(g, p.c) <= VALUE_TOL:
+        if sup_difference(g, p.c) <= VALUE_TOL:  # the one stop short of the atoms
             break
         x0 = epsf if k % 2 == 0 else Fraction(0)
         f = _support_line_through(p.c, x0, g.evaluate(x0), "left" if k % 2 == 0 else "right")

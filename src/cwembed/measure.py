@@ -12,8 +12,8 @@ It raises InvalidParameterError unless both masses are exactly 1, so float
 thirds (mass 1 - 2**-54) are rejected, never rounded.  ``frac`` also reads
 numbers from outside: it refuses a bool and any magnitude beyond a double,
 and a decimal must not underflow.  MASS_TOL bounds the CLI's rescale of spec
-weights; VALUE_TOL is where an approximation may stop: a plan's ``complete``,
-the Vallois iteration and ``close_to``.
+weights; VALUE_TOL is where the Vallois iteration, the only construction that
+ends off the target atoms, may stop: a plan's ``complete`` and ``close_to``.
 """
 
 from __future__ import annotations
@@ -35,7 +35,7 @@ Endpoint = Union[Fraction, float]  # float only for +-inf
 #: how far above or below 1 a measure's mass may be; the CLI rescales a
 #: spec measure whose decimals miss 1 by at most this to mass exactly 1
 MASS_TOL = Fraction(1, 10**12)
-#: residual below which an approximate construction counts as done
+#: residual at which a Vallois plan, the only one off the target atoms, is done
 VALUE_TOL = Fraction(1, 10**9)
 
 
@@ -51,14 +51,21 @@ def frac(x: Union[Real, str]) -> Fraction:
     if isinstance(x, str) and "/" not in x:
         approx, exact = float(x), Decimal(x)
         if not math.isfinite(approx) or (approx == 0) != exact.is_zero():
-            raise ValueError(f"number {x} is out of range")
+            raise _out_of_range(x)
         return Fraction(exact)
     q = Fraction(x)
     try:
         float(q)
     except OverflowError:
-        raise ValueError(f"number {x} is out of range") from None
+        raise _out_of_range(x) from None
     return q
+
+
+def _out_of_range(x) -> ValueError:
+    """The refusal of ``x``; a long number is shown by its head and length."""
+    s = str(x)
+    s = s if len(s) <= 40 else f"{s[:20]}... ({sum(map(str.isdigit, s))} digits)"
+    return ValueError(f"number {s} is out of range")
 
 
 @dataclass(frozen=True)
@@ -163,7 +170,8 @@ class AtomicMeasure:
         return AtomicMeasure(tuple((-x, w) for x, w in reversed(self.atoms)))
 
     def close_to(self, other: "AtomicMeasure", tol: Fraction = VALUE_TOL) -> bool:
-        """Atom-by-atom agreement of positions and weights within tol."""
+        """Atom-by-atom agreement of positions and weights within tol, by
+        default VALUE_TOL: only a Vallois plan ends off the target atoms."""
         if len(self.atoms) != len(other.atoms):
             return False
         return all(

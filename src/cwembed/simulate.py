@@ -9,21 +9,21 @@ estimation and any chunking produce identical results.
 
 One vectorised pass simulates the paths of ``(plan, n, seed)`` once and keeps,
 per path, the start, the final position, the range visited and the range
-visited before the last step in which the path moved.  Every estimate reads
-that pass: crossings of any level strictly before stopping follow from the
-ranges, so no per-level work runs inside the kernel.  A path moves in a step
-only if it sits strictly inside the step's interval, so each step gathers
-those paths, draws their exit and far extreme, and scatters the results
-back; the other paths cost it only the inside test.  The last pass is kept
-in a one-entry memo, holding its plan weakly, so the law and the tail
-estimates of one plan share it.
+visited before the last step in which the path moved; crossings of any level
+strictly before stopping follow from the ranges.  A path moves in a step only
+if it sits strictly inside the step's interval, so each step gathers those
+paths, draws their exit and far extreme, and scatters the results back.  The
+last pass is kept in a one-entry memo, holding its plan weakly, so the law
+and the tail estimates of one plan share it.
 
 Per-path draw layout (row of ``row_len`` uniforms, padded to a multiple of 4
 so rows align with Philox counter blocks): column 0 selects the start by
-inverse CDF; step k uses columns 1+3k (exit), 2+3k (max), 3+3k (min).  Draws
-are consumed positionally: a row keeps its columns for every step, whether
-or not the path is inside that step, and a step reads only the columns of
-the rows it moves.
+inverse CDF, and step k owns column 1+k, read only if the path moves in it
+(draws are consumed positionally).  A finite step's uniform w gives the exit,
+low when w < q = P(exit low); given the exit, (q - w)/q or (1 - w)/(1 - q) is
+a fresh uniform for the far extreme (uniform recycling, Devroye 1986).
+Uniforms are multiples of 2**-53, so a low exit's recycled uniform has
+about q * 2**53 levels, far finer than 1/MAX_PATHS unless q < 1e-9.
 """
 
 from __future__ import annotations
@@ -40,15 +40,15 @@ from .construct import EmbeddingPlan
 from .errors import IncompletePlanError, InvalidParameterError
 from .measure import AtomicMeasure
 
-#: positions closer than this are treated as the same atom when matching laws
+#: positions closer than this match one atom; only a Vallois plan ends off them
 ATOM_TOL = 1e-9
 
 #: most paths one pass simulates: its per-path arrays take 48 bytes a path,
 #: so a pass at the ceiling holds about 0.5 GB
 MAX_PATHS = 10**7
 
-#: paths per block of draws: a 32-step plan's block takes 6.5 MB, and a
-#: step's gathers and scatters stay in cache
+#: paths per block of draws: a 32-step plan's block takes 2.4 MB; 2**14
+#: and 2**15 rows ran no faster and took more memory
 _CHUNK = 1 << 13
 
 
@@ -90,8 +90,7 @@ class _PlanData:
             )
             for st in plan.steps
         ]
-        n_draws = 1 + 3 * len(self.steps)
-        self.row_len = ((n_draws + 3) // 4) * 4
+        self.row_len = ((len(self.steps) + 4) // 4) * 4  # 1 + steps, padded
 
 
 def _stream(seed: int, row0: int, row_len: int) -> np.random.Generator:
@@ -140,23 +139,28 @@ def _exit_law(u: np.ndarray, rows, k: int, a: float, b: float, pos: np.ndarray):
     """Step k, the interval (a, b), for the paths at ``pos`` on ``rows`` of
     the draws ``u``, all with a < pos < b: (exit position, highest point,
     lowest point) reached in the step.  Only the extreme on the far side from
-    the exit is random; it is drawn from column 2+3k (max) on a low exit and
-    3+3k (min) on a high one, the exit from column 1+3k.  Reads those rows
-    only."""
+    the exit is random, and both come from the uniform w in column 1+k: the
+    exit is low when w < q, and w's place on its side of q is the uniform v
+    in (0, 1] of the far extreme.  Each row divides only by its own side's
+    width, never 0.  Reads those rows only."""
+    w = u[rows, 1 + k]
     if math.isfinite(a) and math.isfinite(b):
-        to_lo = u[rows, 1 + 3 * k] < (b - pos) / (b - a)
+        q = (b - pos) / (b - a)
+        to_lo = w < q
         x = np.where(to_lo, a, b)  # the exit
         y = np.where(to_lo, b, a)  # the far end
-        v = 1.0 - np.where(to_lo, u[rows, 2 + 3 * k], u[rows, 3 + 3 * k])  # in (0, 1]
-        # the far extreme m between pos and y: P(reach m | exit at x) = v
-        far = (y * (pos - x) + x * v * (y - pos)) / ((pos - x) + v * (y - pos))
+        v = np.where(to_lo, q - w, 1.0 - w) / np.where(to_lo, q, 1.0 - q)
+        # the far extreme m, a share in [0, 1] of the way from pos to the far
+        # end y (so it never rounds past pos): P(reach m | exit at x) = v
+        near, span = pos - x, y - pos
+        far = pos + span * (near * (1.0 - v) / (near + v * span))
         return x, np.where(to_lo, far, x), np.where(to_lo, x, far)
     if math.isinf(b):
         # collapse down to a from above: P(max >= m) = (pos-a)/(m-a)
-        hi = a + (pos - a) / (1.0 - u[rows, 2 + 3 * k])
+        hi = a + (pos - a) / (1.0 - w)
         return np.full_like(pos, a), hi, np.full_like(pos, a)
     # collapse up to b from below: P(min <= m) = (b-pos)/(b-m)
-    lo = b - (b - pos) / (1.0 - u[rows, 3 + 3 * k])
+    lo = b - (b - pos) / (1.0 - w)
     return np.full_like(pos, b), np.full_like(pos, b), lo
 
 
@@ -261,7 +265,7 @@ def empirical_law(
 
 def tv_distance(law: EmpiricalLaw, m: AtomicMeasure) -> float:
     """Total-variation distance between the empirical atom frequencies and m,
-    matching atom positions within ATOM_TOL."""
+    matching positions within ATOM_TOL for a Vallois plan's off-target atoms."""
     events = sorted(
         [(p, f, 0.0) for p, f in law.atom_frequencies.items()]
         + [(float(x), 0.0, float(w)) for x, w in m.atoms]
@@ -306,12 +310,8 @@ def tail_probability(
         raise InvalidParameterError(f"side must be 'below' or 'above', got {side!r}")
     level = -float(gamma) if side == "below" else float(gamma)
     paths = _pass(plan, n, seed)
-    if side == "below":
-        bound = conditioning.a_minus
-        cond = paths.start >= float(bound)
-    else:
-        bound = conditioning.a_plus
-        cond = paths.start <= float(bound)
+    cond = (paths.start >= float(conditioning.a_minus) if side == "below"
+            else paths.start <= float(conditioning.a_plus))
     hits = paths.crossed(level) & cond
     p = float(np.mean(hits))
     se = math.sqrt(p * (1.0 - p) / n)

@@ -291,6 +291,17 @@ def test_number_out_of_range_names_field(tmp_path, capsys, text, fld):
     assert f"{fld}: number " in err and "is out of range" in err and "Traceback" not in err
 
 
+def test_huge_number_is_echoed_short(tmp_path, capsys):
+    # a number of 5001 digits is named by its head and length, not in full
+    p = tmp_path / "s.json"
+    p.write_text('{"mu0": [[0, 1]], "mu": [[0, 1]], "simulation": {"n_paths": 1%s}}'
+                 % ("0" * 5000))
+    assert main(["analyze", "--spec", str(p)]) == 2
+    (line,) = capsys.readouterr().err.splitlines()
+    assert len(line) < 200 and "simulation.n_paths: number 1" in line
+    assert "(5001 digits) is out of range" in line
+
+
 @pytest.mark.parametrize("C", ["1%s/1" % ("0" * 400), 10**400], ids=["p/q", "integer"])
 def test_custom_C_beyond_double_exit_2(tmp_path, capsys, C):
     spec = dict(SPEC, construction={"type": "custom", "tangents": [], "C": C})

@@ -243,6 +243,35 @@ class TestWithinStepExtremes:
             assert abs(np.mean(paths.gmax >= m) - p) <= 3 * se
             assert abs(np.mean(paths.gmin <= -m) - p) <= 3 * se
 
+    def test_exit_and_far_extreme_joint_law(self):
+        # P(exit -1, max >= m) = P(reach m before -1) P(then exit at -1)
+        # = 1/(1+m) (1-m)/2, and its mirror for min <= -m: the far extreme
+        # reuses the exit's uniform, so this checks that the two stay independent
+        n = 100_000
+        paths = sim._run_all(TROUGH_PLAN, n, 79)
+        for m in [0.2, 0.5, 0.8]:
+            p = 1.0 / (1.0 + m) * (1.0 - m) / 2.0
+            se = math.sqrt(p * (1 - p) / n)
+            assert abs(np.mean((paths.final == -1.0) & (paths.gmax >= m)) - p) <= 3 * se
+            assert abs(np.mean((paths.final == 1.0) & (paths.gmin <= -m)) - p) <= 3 * se
+
+    @pytest.mark.parametrize("a, b", [(-1.0, 1.0), (-0.3, 1.7), (1e-3, 1e3)])
+    def test_split_draw_edges(self, a, b):
+        # the uniform's extremes and the exit's edge at q, also from one ulp
+        # inside either end; one ulp above a, q rounds to 1 and the high side
+        # is empty, and a division by it would warn, which fails this module
+        assert (b - np.nextafter(a, b)) / (b - a) == 1.0
+        for pos in (np.nextafter(a, b), 0.25 * a + 0.75 * b, np.nextafter(b, a)):
+            q = (b - pos) / (b - a)
+            w = np.array([x for x in (0.0, np.nextafter(q, 0), q, np.nextafter(1, 0)) if x < 1])
+            u = np.zeros((len(w), 4))
+            u[:, 1] = w
+            new, hi, lo = sim._exit_law(u, np.arange(len(w)), 0, a, b, np.full(len(w), pos))
+            low = w < q
+            assert np.array_equal(new, np.where(low, a, b))
+            assert np.all(lo <= pos) and np.all(pos <= hi)
+            assert np.all(np.where(low, (lo == a) & (hi <= b), (hi == b) & (a <= lo)))
+
     def test_semi_infinite_spike(self):
         # collapse from +1 to 0: P(max >= m) = 1/m for m >= 1
         n = 100_000
@@ -255,18 +284,19 @@ class TestWithinStepExtremes:
 
 def _reference_exit_law(u, k, a, b, pos):
     """The exit law of the full-length kernel: both extremes for every row,
-    meaningful only for rows with a < pos < b."""
-    ue = u[:, 1 + 3 * k]
-    vmax = 1.0 - u[:, 2 + 3 * k]
-    vmin = 1.0 - u[:, 3 + 3 * k]
+    meaningful only for rows with a < pos < b.  Column 1+k gives the exit
+    and, recycled on the exit's side, the far extreme."""
+    w = u[:, 1 + k]
     if math.isfinite(a) and math.isfinite(b):
-        to_lo = ue < (b - pos) / (b - a)
-        smax = (b * (pos - a) + a * vmax * (b - pos)) / ((pos - a) + vmax * (b - pos))
-        smin = (a * (b - pos) + b * vmin * (pos - a)) / ((b - pos) + vmin * (pos - a))
+        q = (b - pos) / (b - a)
+        to_lo = w < q
+        vmax, vmin = (q - w) / q, (1.0 - w) / (1.0 - q)
+        smax = pos + (b - pos) * ((pos - a) * (1.0 - vmax) / ((pos - a) + vmax * (b - pos)))
+        smin = pos + (a - pos) * ((pos - b) * (1.0 - vmin) / ((pos - b) + vmin * (a - pos)))
         return np.where(to_lo, a, b), np.where(to_lo, smax, b), np.where(to_lo, a, smin)
     if math.isinf(b):
-        return np.full_like(pos, a), a + (pos - a) / vmax, np.full_like(pos, a)
-    return np.full_like(pos, b), np.full_like(pos, b), b - (b - pos) / vmin
+        return np.full_like(pos, a), a + (pos - a) / (1.0 - w), np.full_like(pos, a)
+    return np.full_like(pos, b), np.full_like(pos, b), b - (b - pos) / (1.0 - w)
 
 
 def _reference_chunk(pd, u):
