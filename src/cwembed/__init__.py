@@ -13,7 +13,6 @@ from .construct import (
     cw_step,
     expected_local_time_zero,
     jacka_plan,
-    plan_shift_constants,
     reversed_ay_sweep,
     tangent_ratio_min,
     vallois_eps_plan,

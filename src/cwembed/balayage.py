@@ -32,17 +32,9 @@ class Interval:
         if self.lower is not None and self.upper is not None and self.lower >= self.upper:
             raise InvalidIntervalError(f"empty interval ({self.lower}, {self.upper})")
 
-    @classmethod
-    def make(cls, lower: Optional[Real], upper: Optional[Real]) -> "Interval":
-        return cls(None if lower is None else frac(lower), None if upper is None else frac(upper))
-
     @property
     def is_finite(self) -> bool:
         return self.lower is not None and self.upper is not None
-
-    def contains_strict(self, x: Real) -> bool:
-        xf = frac(x)
-        return (self.lower is None or xf > self.lower) and (self.upper is None or xf < self.upper)
 
 
 def balayage_finite(m: AtomicMeasure, a: Real, b: Real) -> AtomicMeasure:

@@ -313,15 +313,9 @@ def _support_line_through(c: PLConcave, x0: Fraction, y0: Fraction, touch: str) 
     touch="left" takes the steepest such line (touching c left of x0),
     touch="right" the shallowest (touching right of x0)."""
     if touch == "left":
-        cands = [
-            (y0 - c.values[i]) / (x0 - x) for i, x in enumerate(c.xs) if x < x0
-        ]
-        s = min(cands + [c.slopes[0]])
+        s = min([(y0 - v) / (x0 - x) for x, v in zip(c.xs, c.values) if x < x0] + [c.slopes[0]])
     else:
-        cands = [
-            (c.values[i] - y0) / (x - x0) for i, x in enumerate(c.xs) if x > x0
-        ]
-        s = max(cands + [c.slopes[-1]])
+        s = max([(v - y0) / (x - x0) for x, v in zip(c.xs, c.values) if x > x0] + [c.slopes[-1]])
     return Tangent(s, y0 - s * x0)
 
 
@@ -428,11 +422,3 @@ def expected_local_time_zero(plan: EmbeddingPlan) -> Fraction:
     if not plan.complete:
         raise IncompletePlanError("expected local time requires a complete plan")
     return pair(plan.mu0, plan.target).u0.evaluate(0) - plan.final_potential.evaluate(0)
-
-
-def plan_shift_constants(plan: EmbeddingPlan) -> list[Fraction]:
-    """Cumulative potential shift after each step: the step's potential is
-    the potential of its measure shifted down by it.  It holds across
-    finite-interval steps and grows by delta_m at each semi-infinite one."""
-    return [st.measure_after.potential().evaluate(0) - st.potential_after.evaluate(0)
-            for st in plan.steps]

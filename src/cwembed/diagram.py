@@ -18,20 +18,21 @@ def _fmt(v: float) -> str:
 
 
 def render_plan_svg(plan: EmbeddingPlan) -> str:
+    """The plan's diagram.  Each potential is sampled in one walk over the
+    sorted sample points; the samples set the vertical range and the curve."""
     p = pair(plan.mu0, plan.target)
     u0, c = p.u0, p.ut.shift(-plan.C)
 
-    knots = sorted(set(u0.xs) | set(c.xs) | {Fraction(0)})
-    for st in plan.steps:
-        for end in (st.interval.lower, st.interval.upper):
-            if end is not None:
-                knots.append(end)
+    kinks = sorted(set(u0.xs) | set(c.xs))
+    ends = [e for st in plan.steps for e in (st.interval.lower, st.interval.upper) if e is not None]
+    knots = kinks + ends + [Fraction(0)]
     lo_x, hi_x = min(knots), max(knots)
     pad = max((hi_x - lo_x) / 4, Fraction(1))
     lo_x, hi_x = lo_x - pad, hi_x + pad
 
     sample_xs = sorted(set(knots) | {lo_x, hi_x})
-    ys = [u0.evaluate(x) for x in sample_xs] + [c.evaluate(x) for x in sample_xs] + [Fraction(0)]
+    u0_ys, c_ys = u0.values_at(sample_xs), c.values_at(sample_xs)
+    ys = u0_ys + c_ys + [Fraction(0)]
     lo_y, hi_y = min(ys), max(ys)
     pad_y = max((hi_y - lo_y) / 8, Fraction(1, 2))
     lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
@@ -42,8 +43,8 @@ def render_plan_svg(plan: EmbeddingPlan) -> str:
     def py(y):
         return _H - _MARGIN - float((y - lo_y) / (hi_y - lo_y)) * (_H - 2 * _MARGIN)
 
-    def polyline(fn, color):
-        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(fn.evaluate(x)))}" for x in sample_xs)
+    def polyline(values, color):
+        pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(sample_xs, values))
         return (
             f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="2"/>'
         )
@@ -70,7 +71,7 @@ def render_plan_svg(plan: EmbeddingPlan) -> str:
             f'<line x1="{_fmt(px(0))}" y1="{_fmt(py(lo_y))}" x2="{_fmt(px(0))}" '
             f'y2="{_fmt(py(hi_y))}" stroke="#999" stroke-width="1"/>'
         )
-    for x in sorted(set(u0.xs) | set(c.xs)):
+    for x in kinks:
         parts.append(
             f'<line x1="{_fmt(px(x))}" y1="{_fmt(y0 - 4)}" x2="{_fmt(px(x))}" '
             f'y2="{_fmt(y0 + 4)}" stroke="#999" stroke-width="1"/>'
@@ -96,8 +97,8 @@ def render_plan_svg(plan: EmbeddingPlan) -> str:
             f'y2="{_fmt(ybar)}" stroke="#2ca02c" stroke-width="3"/>'
         )
 
-    parts.append(polyline(u0, "#1f77b4"))
-    parts.append(polyline(c, "#d62728"))
+    parts.append(polyline(u0_ys, "#1f77b4"))
+    parts.append(polyline(c_ys, "#d62728"))
     parts.append(
         f'<text x="{_MARGIN}" y="20" font-size="13" fill="#1f77b4">starting potential</text>'
     )

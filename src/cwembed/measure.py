@@ -62,9 +62,16 @@ def frac(x: Union[Real, str]) -> Fraction:
 
 
 def _out_of_range(x) -> ValueError:
-    """The refusal of ``x``; a long number is shown by its head and length."""
-    s = str(x)
-    s = s if len(s) <= 40 else f"{s[:20]}... ({sum(map(str.isdigit, s))} digits)"
+    """The refusal of ``x``; a long number is shown by its head and length.
+    A long int is cut by arithmetic: ``str`` refuses one of over 4300 digits."""
+    if isinstance(x, int) and abs(x) >= 10**40:
+        n = abs(x)
+        d = int((n.bit_length() - 1) * math.log10(2)) + 1  # n's digits, or one fewer
+        d += n >= 10**d
+        s = f"{'-' * (x < 0)}{n // 10 ** (d - 20 + (x < 0))}... ({d} digits)"
+    else:
+        s = str(x)
+        s = s if len(s) <= 40 else f"{s[:20]}... ({sum(map(str.isdigit, s))} digits)"
     return ValueError(f"number {s} is out of range")
 
 
@@ -144,16 +151,6 @@ class AtomicMeasure:
             raise ValueError("mean of the zero measure is undefined")
         return sum((w * x for x, w in self.atoms), Fraction(0)) / self.total_mass
 
-    def mass_below(self, a: Real) -> Fraction:
-        """Mass of the open half line (-inf, a)."""
-        af = frac(a)
-        return sum((w for x, w in self.atoms if x < af), Fraction(0))
-
-    def mass_upto(self, a: Real) -> Fraction:
-        """Mass of the closed half line (-inf, a]."""
-        af = frac(a)
-        return sum((w for x, w in self.atoms if x <= af), Fraction(0))
-
     # -- operations -------------------------------------------------------
 
     def potential(self) -> "PLConcave":
@@ -164,10 +161,6 @@ class AtomicMeasure:
         v0 = -sum((w * abs(x0 - x) for x, w in self.atoms), Fraction(0))
         bps = tuple((x, 2 * w) for x, w in self.atoms)
         return PLConcave(self.total_mass, bps, (x0, v0))
-
-    def reflect(self) -> "AtomicMeasure":
-        """Image under x -> -x."""
-        return AtomicMeasure(tuple((-x, w) for x, w in reversed(self.atoms)))
 
     def close_to(self, other: "AtomicMeasure", tol: Fraction = VALUE_TOL) -> bool:
         """Atom-by-atom agreement of positions and weights within tol, by
@@ -259,6 +252,21 @@ class PLConcave:
         r = max(j - 1, 0)
         return self.values[r] + self.slopes[j] * (xf - self.xs[r])
 
+    def values_at(self, pts: Sequence[Fraction]) -> list[Fraction]:
+        """``[self.evaluate(x) for x in pts]`` for ascending Fractions ``pts``
+        (repeats allowed), in one walk over the kinks: a kink's value is
+        read from ``values``, any other point costs one multiply-add.  An
+        affine function walks from its anchor, as from a kink of drop 0."""
+        xs, slopes, values = ((self.xs, self.slopes, self.values) if self.breakpoints else
+                              ((self.anchor[0],), self.slopes * 2, (self.anchor[1],)))
+        out, j, n = [], 0, len(xs)
+        for x in pts:
+            while j < n and xs[j] <= x:
+                j += 1
+            r = max(j - 1, 0)  # x lies on segment j, measured from kink r
+            out.append(values[r] if x == xs[r] else values[r] + slopes[j] * (x - xs[r]))
+        return out
+
     def derivatives(self, x: Real) -> tuple[Fraction, Fraction]:
         """(left, right) derivatives at x."""
         xf = frac(x)
@@ -321,12 +329,17 @@ def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
 
     Finite only when the extreme slopes agree (e.g. both functions are
     potentials of probability measures, possibly shifted); raises ValueError
-    when they differ.  The supremum is attained on the union of breakpoints
-    or at the asymptotic difference.
+    when they differ.  The supremum is attained on the union of breakpoints,
+    walked once per function, or at the asymptotic difference.  With equal
+    breakpoints (an exact plan's final potential and c) f - g is constant.
     """
     if f.left_slope != g.left_slope or f.right_slope != g.right_slope:
         raise ValueError("sup difference is unbounded: extreme slopes differ")
-    return max(abs(f.evaluate(x) - g.evaluate(x)) for x in kink_probes(f, g))
+    if f.breakpoints == g.breakpoints:
+        x0, y0 = g.anchor
+        return abs(f.evaluate(x0) - y0)
+    probes = kink_probes(f, g)
+    return max(abs(a - b) for a, b in zip(f.values_at(probes), g.values_at(probes)))
 
 
 class Pair(NamedTuple):
@@ -344,9 +357,9 @@ class Pair(NamedTuple):
 
 @lru_cache(maxsize=1)
 def pair(mu0: AtomicMeasure, target: AtomicMeasure) -> Pair:
-    """The pair's invariants, kept for the last pair asked for.  One pass
-    evaluates the gap ut - u0 at the kinks and on the two rays: C is its
-    largest value (>= 0), and as the gap is affine between kinks, the
+    """The pair's invariants, kept for the last pair asked for.  One walk per
+    potential evaluates the gap ut - u0 at the kinks and on the two rays: C
+    is its largest value (>= 0), and as the gap is affine between kinks, the
     contact set is the runs of probes where it equals C.  Raises
     InvalidParameterError unless both measures have mass exactly 1."""
     if not (mu0.is_probability() and target.is_probability()):
@@ -355,7 +368,7 @@ def pair(mu0: AtomicMeasure, target: AtomicMeasure) -> Pair:
         )
     u0, ut = mu0.potential(), target.potential()
     probes = kink_probes(u0, ut)
-    gaps = [ut.evaluate(x) - u0.evaluate(x) for x in probes]
+    gaps = [b - a for a, b in zip(u0.values_at(probes), ut.values_at(probes))]
     C = max(gaps)
     contact: list[tuple[Endpoint, Endpoint]] = []
     for k, x in enumerate([-math.inf, *probes[1:-1], math.inf]):  # ends: the rays

@@ -10,9 +10,11 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 from . import simulate
+from .balayage import Interval
 from .construct import EmbeddingPlan, ay_sweep, cw_run, tangent_ratio_min
 from .errors import IncompletePlanError
 from .measure import AtomicMeasure, Endpoint, Real, frac, gap_constant, pair
@@ -124,25 +126,25 @@ def max_law_bound(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fractio
     return min(Fraction(1), max(Fraction(0), bound))
 
 
-def _max_exceedance_exact(plan: EmbeddingPlan, x: Real) -> Fraction:
-    """P(running max >= x) for a plan, by exact dynamic programming over
-    (position, exceeded) states with the hitting-race probabilities of each
-    balayage step.  The states are kept as sorted positions, each with its
-    [max < x, max >= x] masses.  A step bisects for the positions strictly
-    inside its interval and moves only those, to the interval's ends, so the
+def _max_exceedance_exact(mu0: AtomicMeasure, intervals: Sequence[Interval], x: Real) -> Fraction:
+    """P(running max >= x) from mu0 through these step intervals, by exact
+    dynamic programming over (position, exceeded) states with each step's
+    hitting-race probabilities.  The states are sorted positions, each with
+    its [max < x, max >= x] masses.  A step bisects for the positions
+    strictly inside its interval and moves only those, to its ends, so the
     work follows the mass that moves, not the number of atoms."""
     xf = frac(x)
     xs: list[Fraction] = []  # the positions holding mass, ascending
     mass: dict[Fraction, list[Fraction]] = {}
-    for pos, w in plan.mu0.atoms:
+    for pos, w in mu0.atoms:
         xs.append(pos)
         mass[pos] = [Fraction(0), w] if pos >= xf else [w, Fraction(0)]
 
     def add(pos, flag, w):
         mass[pos][flag] += w
 
-    for st in plan.steps:
-        a, b = st.interval.lower, st.interval.upper
+    for iv in intervals:
+        a, b = iv.lower, iv.upper
         i = 0 if a is None else bisect_right(xs, a)
         j = len(xs) if b is None else bisect_left(xs, b)
         inside = [(pos, mass.pop(pos)) for pos in xs[i:j]]
@@ -181,12 +183,19 @@ def _max_exceedance_exact(plan: EmbeddingPlan, x: Real) -> Fraction:
     return sum((ws[1] for ws in mass.values()), Fraction(0))
 
 
+@lru_cache(maxsize=1)
+def _ay_intervals(mu0: AtomicMeasure, target: AtomicMeasure) -> tuple[Interval, ...]:
+    """The step intervals of the pair's Azema-Yor plan, all the exact max law
+    reads of it, kept for the last pair asked for; its potentials are let go."""
+    plan = cw_run(mu0, ay_sweep(mu0, target), target, gap_constant(mu0, target))
+    return tuple(st.interval for st in plan.steps)
+
+
 def ay_max_law(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fraction:
     """Exact P(running max >= x) under the Azema-Yor plan for the pair,
     integrated over the starting law; attains max_law_bound wherever the
-    bound is positive."""
-    plan = cw_run(mu0, ay_sweep(mu0, target), target, gap_constant(mu0, target))
-    return _max_exceedance_exact(plan, x)
+    bound is positive.  The pair's plan is built once (see ``_ay_intervals``)."""
+    return _max_exceedance_exact(mu0, _ay_intervals(mu0, target), x)
 
 
 def _structural_ok(plan: EmbeddingPlan, region: ContactRegion) -> bool:

@@ -1,13 +1,10 @@
 import math
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
-
-from cwembed import (  # noqa: E402
+from cwembed import (
     AtomicMeasure,
+    EmbeddingPlan,
     EmbedError,
     Interval,
     Tangent,
@@ -18,6 +15,52 @@ from cwembed import (  # noqa: E402
     reversed_ay_sweep,
     vallois_eps_plan,
 )
+from cwembed.measure import frac
+
+
+def mass_below(m: AtomicMeasure, a) -> Fraction:
+    """Mass of the open half line (-inf, a)."""
+    af = frac(a)
+    return sum((w for x, w in m.atoms if x < af), Fraction(0))
+
+
+def mass_upto(m: AtomicMeasure, a) -> Fraction:
+    """Mass of the closed half line (-inf, a]."""
+    af = frac(a)
+    return sum((w for x, w in m.atoms if x <= af), Fraction(0))
+
+
+def reflect(m: AtomicMeasure) -> AtomicMeasure:
+    """Image under x -> -x."""
+    return AtomicMeasure(tuple((-x, w) for x, w in reversed(m.atoms)))
+
+
+def make_interval(lower, upper) -> Interval:
+    """The open interval (lower, upper), None for an infinite end."""
+    return Interval(None if lower is None else frac(lower), None if upper is None else frac(upper))
+
+
+def contains_strict(iv: Interval, x) -> bool:
+    """x lies in the open interval iv."""
+    xf = frac(x)
+    return (iv.lower is None or xf > iv.lower) and (iv.upper is None or xf < iv.upper)
+
+
+def plan_shift_constants(plan: EmbeddingPlan) -> list[Fraction]:
+    """Cumulative potential shift after each step: the step's potential is
+    the potential of its measure shifted down by it.  It holds across
+    finite-interval steps and grows by delta_m at each semi-infinite one."""
+    return [st.measure_after.potential().evaluate(0) - st.potential_after.evaluate(0)
+            for st in plan.steps]
+
+
+def sup_difference_by_probes(f, g) -> Fraction:
+    """Reference sup |f - g|: each function evaluated at every probe of
+    their kinks by its own bisection; ValueError when the extreme slopes
+    differ."""
+    if f.left_slope != g.left_slope or f.right_slope != g.right_slope:
+        raise ValueError("sup difference is unbounded: extreme slopes differ")
+    return max(abs(f.evaluate(x) - g.evaluate(x)) for x in probe_points(f, g))
 
 
 class InvalidSplitError(EmbedError):
@@ -29,7 +72,7 @@ def split_at(m: AtomicMeasure, a, theta) -> tuple[AtomicMeasure, AtomicMeasure]:
     supported on (-inf, a] and has total mass theta; upper is the rest.  An
     atom at a is divided between the parts as needed."""
     af, th = Fraction(a), Fraction(theta)
-    lo_mass, hi_mass = m.mass_below(af), m.mass_upto(af)
+    lo_mass, hi_mass = mass_below(m, af), mass_upto(m, af)
     if not lo_mass <= th <= hi_mass:
         raise InvalidSplitError(
             f"theta={th} outside admissible bracket [{lo_mass}, {hi_mass}] at {af}"

@@ -3,7 +3,14 @@ from fractions import Fraction as F
 
 import pytest
 
-from conftest import closure_contains, grid_point, probe_points, random_prob_measure
+from conftest import (
+    closure_contains,
+    contains_strict,
+    grid_point,
+    make_interval,
+    probe_points,
+    random_prob_measure,
+)
 from cwembed import (
     AtomicMeasure,
     Interval,
@@ -160,6 +167,6 @@ class TestInterval:
             Interval(None, None)
 
     def test_membership(self):
-        iv = Interval.make(0, None)
-        assert iv.contains_strict(1) and not iv.contains_strict(0)
+        iv = make_interval(0, None)
+        assert contains_strict(iv, 1) and not contains_strict(iv, 0)
         assert closure_contains(iv, 0)

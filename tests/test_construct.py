@@ -6,7 +6,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN_BUILDERS, probe_points, random_prob_measure
+from conftest import (
+    PLAN_BUILDERS,
+    contains_strict,
+    plan_shift_constants,
+    probe_points,
+    random_prob_measure,
+    reflect,
+)
 from cwembed import (
     AtomicMeasure,
     EmbeddingPlan,
@@ -29,7 +36,6 @@ from cwembed import (
     gap_constant,
     jacka_plan,
     pair,
-    plan_shift_constants,
     reversed_ay_sweep,
     sup_difference,
     vallois_eps_plan,
@@ -199,7 +205,7 @@ def test_spliced_potential_matches_rebuild(seed, kind):
         rebuilt = PLConcave(new.left_slope, new.breakpoints, new.anchor)
         assert (new.xs, new.slopes, new.values) == (rebuilt.xs, rebuilt.slopes, rebuilt.values)
         for x in probe_points(g, new) + [e for e in (iv.lower, iv.upper) if e is not None]:
-            if iv.contains_strict(x):
+            if contains_strict(iv, x):
                 assert new.evaluate(x) == st_.tangent(x) < g.evaluate(x)
             else:
                 assert new.evaluate(x) == g.evaluate(x)
@@ -352,7 +358,7 @@ def test_unfiltered_sweeps_match_pre_filtered(seed):
     C = gap_constant(mu0, mu)
     u0 = mu0.potential()
     fwd, rev = ay_sweep(mu0, mu), reversed_ay_sweep(mu0, mu)
-    mirrored = ay_sweep(mu0.reflect(), mu.reflect())
+    mirrored = ay_sweep(reflect(mu0), reflect(mu))
     assert rev == [Tangent(-f.slope, f.intercept) for f in mirrored]
     for lines, plan in [
         (fwd, cw_run(mu0, fwd, mu, C)),

@@ -6,19 +6,34 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import InvalidSplitError, contact_scan, probe_points, random_prob_measure, split_at
+from conftest import (
+    InvalidSplitError,
+    contact_scan,
+    grid_point,
+    mass_below,
+    mass_upto,
+    probe_points,
+    random_cuts,
+    random_prob_measure,
+    reflect,
+    split_at,
+    sup_difference_by_probes,
+)
 from cwembed import (
     AtomicMeasure,
     InvalidParameterError,
     MalformedPotentialError,
     PLConcave,
     Tangent,
+    ay_sweep,
     balayage_finite,
+    cw_run,
     cw_step,
     gap_constant,
     sup_difference,
+    vallois_eps_plan,
 )
-from cwembed.measure import frac, kink_probes, pair
+from cwembed.measure import _out_of_range, frac, kink_probes, pair
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -92,6 +107,45 @@ class TestEvaluate:
                 assert moved.evaluate(x + F(1, 3)) == brute_potential(m, x + F(1, 3))
 
 
+def _walk_case(seed, kind):
+    """A potential of the given kind and ascending points: kinks, points
+    between kinks and beyond both ends, some of them repeated."""
+    rng = random.Random(seed)
+    mu0, mu = random_prob_measure(rng), random_prob_measure(rng)
+    if kind == "affine":
+        f = PLConcave(F(rng.randint(-4, 4), 4), (), (grid_point(rng), grid_point(rng)))
+    elif kind == "measure":
+        f = mu0.potential()
+    elif kind == "shifted":
+        f = mu0.potential().shift(F(rng.randint(-40, 40), 7))
+    else:  # a running potential of random cuts, some of them of half lines
+        plan = cw_run(mu0, random_cuts(rng, mu0), mu, gap_constant(mu0, mu))
+        f = rng.choice([st_.potential_after for st_ in plan.steps] or [plan.final_potential])
+    xs = list(f.xs) or [f.anchor[0]]
+    pts = [xs[0] - F(rng.randint(1, 40), 8), xs[-1] + F(rng.randint(1, 40), 8)]
+    pts += rng.sample(xs, rng.randint(0, len(xs)))
+    pts += [a + (b - a) * F(rng.randint(1, 7), 8) for a, b in zip(xs, xs[1:]) if rng.random() < 0.5]
+    pts += [grid_point(rng) for _ in range(rng.randint(0, 4))]
+    pts += rng.choices(pts, k=rng.randint(0, 4))  # repeated points
+    return f, sorted(pts)
+
+
+class TestValuesAt:
+    @given(seed=st.integers(0, 2**32),
+           kind=st.sampled_from(["measure", "shifted", "cuts", "affine"]))
+    @settings(max_examples=120, deadline=None)
+    def test_equals_evaluate(self, seed, kind):
+        f, pts = _walk_case(seed, kind)
+        assert f.values_at(pts) == [f.evaluate(x) for x in pts]
+
+    def test_no_points(self):
+        assert PM1.potential().values_at([]) == []
+
+    def test_kink_values_are_read(self):
+        u = ASYM.potential()
+        assert all(a is b for a, b in zip(u.values_at(list(u.xs)), u.values, strict=True))
+
+
 class TestDerivatives:
     def test_point_mass_kink(self):
         assert D0.potential().derivatives(0) == (1, -1)
@@ -110,8 +164,8 @@ class TestDerivatives:
             for _ in range(20):
                 x = F(rng.randint(-200, 200), 16)
                 left, right = u.derivatives(x)
-                assert left == 1 - 2 * m.mass_below(x)
-                assert right == 1 - 2 * m.mass_upto(x)
+                assert left == 1 - 2 * mass_below(m, x)
+                assert right == 1 - 2 * mass_upto(m, x)
 
 
 class TestMean:
@@ -176,7 +230,7 @@ class TestSplit:
     @settings(max_examples=60, deadline=None)
     def test_mass_partition(self, m, anum, tnum):
         a = F(anum, 8)
-        lo_m, hi_m = m.mass_below(a), m.mass_upto(a)
+        lo_m, hi_m = mass_below(m, a), mass_upto(m, a)
         theta = lo_m + (hi_m - lo_m) * F(tnum, 100)
         lo, hi = split_at(m, a, theta)
         assert lo.total_mass == theta
@@ -203,6 +257,51 @@ class TestSupDifference:
             b = random_prob_measure(rng)
             d = sup_difference(a.potential(), b.potential())
             assert (d == 0) == (a == b)
+
+    @given(seed=st.integers(0, 2**32),
+           kind=st.sampled_from(["random", "reweighted", "shifted", "exact", "vallois"]))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_probe_oracle(self, seed, kind):
+        # independent potentials, the same atoms with other weights (equal
+        # kink positions, other drops), equal kinks (f - g constant, as for
+        # an exact plan's final potential and c) and the running potentials
+        # of a Vallois plan against its c
+        rng = random.Random(seed)
+        mu0, mu = random_prob_measure(rng), random_prob_measure(rng)
+        if kind == "random":
+            pairs = [(mu0.potential(), mu.potential())]
+        elif kind == "reweighted":
+            ws = [rng.randint(1, 20) for _ in mu0.atoms]
+            other = AtomicMeasure.from_pairs(
+                [(x, F(w, sum(ws))) for x, w in zip(mu0.positions, ws)])
+            pairs = [(mu0.potential(), other.potential())]
+        elif kind == "shifted":
+            u, c = mu0.potential(), F(rng.randint(-40, 40), 7)
+            pairs = [(u, u.shift(c)), (u.shift(c), u)]
+            assert sup_difference(u, u.shift(c)) == abs(c)
+        elif kind == "exact":
+            plan = cw_run(mu0, ay_sweep(mu0, mu), mu, gap_constant(mu0, mu))
+            pairs = [(plan.final_potential, pair(mu0, mu).c)]
+            assert plan.final_potential.breakpoints == pairs[0][1].breakpoints
+            assert plan.residual == 0
+        else:
+            plan = vallois_eps_plan(mu0, mu, F(1, rng.choice([2, 4, 8])), 8)
+            c = pair(mu0, mu).c
+            pairs = [(g, c) for g in [pair(mu0, mu).u0] + [s.potential_after for s in plan.steps]]
+        for f, g in pairs:
+            assert sup_difference(f, g) == sup_difference_by_probes(f, g)
+
+    @pytest.mark.parametrize("other", [
+        lambda u: PLConcave(F(1, 2), u.breakpoints, u.anchor),  # the same kinks
+        lambda u: PLConcave(u.left_slope, u.breakpoints[:-1] + ((F(5), F(1, 2)),), u.anchor),
+        lambda u: AtomicMeasure.point(0, F(1, 2)).potential(),
+    ], ids=["left", "right", "both"])
+    def test_unequal_extreme_slopes_raise(self, other):
+        u = PM1.potential()
+        for f, g in [(u, other(u)), (other(u), u)]:
+            for sup in (sup_difference, sup_difference_by_probes):
+                with pytest.raises(ValueError, match="extreme slopes differ"):
+                    sup(f, g)
 
 
 class TestConcavity:
@@ -335,6 +434,23 @@ class TestFrac:
         with pytest.raises(ValueError, match="out of range"):
             frac(number)
 
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_int_past_str_limit_named_short(self, sign):
+        # str refuses an int of over 4300 digits; the message needs no str
+        with pytest.raises(ValueError) as info:
+            frac(sign * 10**5000)
+        head = "10000000000000000000" if sign > 0 else "-1000000000000000000"
+        assert str(info.value) == f"number {head}... (5001 digits) is out of range"
+
+    def test_int_message_as_spelled(self):
+        # an int that str can spell is named as it always was: in full up
+        # to 40 characters, else by its first 20 and its digit count
+        ints = [10**k + d for k in range(36, 4300, 37) for d in (-1, 0, 7)]
+        for x in ints + [-x for x in ints]:
+            s = str(x)
+            s = s if len(s) <= 40 else f"{s[:20]}... ({len(s.lstrip('-'))} digits)"
+            assert str(_out_of_range(x)) == f"number {s} is out of range"
+
     @pytest.mark.parametrize("flag", [True, False])
     def test_bool_refused(self, flag):
         with pytest.raises(TypeError):
@@ -356,7 +472,7 @@ class TestValidation:
 
     def test_merge_and_order(self):
         m = AtomicMeasure.from_pairs([(1, F(1, 4)), (-1, F(1, 2)), (1, F(1, 4))])
-        assert m == PM1.reflect().reflect()
+        assert m == reflect(reflect(PM1))
         assert m.positions == (F(-1), F(1))
 
     def test_wire_round_trip(self):

@@ -6,7 +6,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import PLAN_BUILDERS, contact_scan, probe_points, random_prob_measure, split_at
+from conftest import (
+    PLAN_BUILDERS,
+    contact_scan,
+    contains_strict,
+    mass_below,
+    mass_upto,
+    probe_points,
+    random_prob_measure,
+    split_at,
+)
 from cwembed import (
     AtomicMeasure,
     EmbeddingPlan,
@@ -27,8 +36,14 @@ from cwembed import (
     tangent_ratio_min,
     vallois_eps_plan,
 )
+from cwembed import minimality
 from cwembed.measure import pair
 from cwembed.minimality import _max_exceedance_exact
+
+
+def exceedance(plan, x):
+    """The exact P(running max >= x) of a plan."""
+    return _max_exceedance_exact(plan.mu0, [st_.interval for st_ in plan.steps], x)
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -85,8 +100,8 @@ class TestContactRegion:
                 for a in {lo, hi}:
                     if isinstance(a, float) and math.isinf(a):
                         continue
-                    assert mu.mass_below(a) <= mu0.mass_below(a)
-                    assert mu0.mass_below(a) <= mu0.mass_upto(a) <= mu.mass_upto(a)
+                    assert mass_below(mu, a) <= mass_below(mu0, a)
+                    assert mass_below(mu0, a) <= mass_upto(mu0, a) <= mass_upto(mu, a)
 
     def test_mass_and_mean_partition(self):
         # between consecutive finite contact points the two measures carry
@@ -108,8 +123,8 @@ class TestContactRegion:
                         pts.append(v)
             pts = sorted(set(pts))
             for a, z in zip(pts, pts[1:]):
-                theta_a = mu0.mass_below(a)
-                theta_z = mu0.mass_upto(z)
+                theta_a = mass_below(mu0, a)
+                theta_z = mass_upto(mu0, z)
                 mid0 = split_at(split_at(mu0, z, theta_z)[0], a, theta_a)[1]
                 mid = split_at(split_at(mu, z, theta_z)[0], a, theta_a)[1]
                 assert mid.total_mass == mid0.total_mass
@@ -144,7 +159,7 @@ class TestMaxLawBound:
                 for a in {lo, hi}:
                     if isinstance(a, float) and math.isinf(a):
                         continue
-                    assert max_law_bound(mu0, mu, a) == mu.total_mass - mu.mass_below(a)
+                    assert max_law_bound(mu0, mu, a) == mu.total_mass - mass_below(mu, a)
 
     def test_raising_c_raises_bound(self):
         # the tight shift constant minimizes the bound
@@ -251,7 +266,31 @@ class TestAyMaxLaw:
             vals = [ay_max_law(mu0, mu, x) for x in xs]
             assert all(a >= b for a, b in zip(vals, vals[1:]))
             for x, v in zip(xs, vals):
-                assert v >= mu.total_mass - mu.mass_below(x)
+                assert v >= mu.total_mass - mass_below(mu, x)
+
+    def test_one_plan_per_pair(self, monkeypatch):
+        # the thresholds of one pair share its plan; the cache holds one pair
+        builds, real = [], minimality.cw_run
+        monkeypatch.setattr(minimality, "cw_run", lambda *a: builds.append(a) or real(*a))
+        minimality._ay_intervals.cache_clear()
+        rng = random.Random(67)
+        (mu0, mu), other = [(random_prob_measure(rng, 6), random_prob_measure(rng, 6))
+                            for _ in range(2)]
+        assert other != (mu0, mu)
+        xs = [F(i, 2) for i in (-3, -1, 1, 3)]
+        got = [ay_max_law(mu0, mu, x) for x in xs]
+        assert len(builds) == 1
+        assert got == [exceedance(ay_plan(mu0, mu), x) for x in xs]
+        assert ay_max_law(*other, 0) == exceedance(ay_plan(*other), 0)
+        assert len(builds) == 2
+        assert ay_max_law(mu0, mu, xs[0]) == got[0]
+        assert len(builds) == 3
+
+    def test_mass_defect_raises_every_call(self):
+        minimality._ay_intervals.cache_clear()
+        for x in (0, 1, 0):
+            with pytest.raises(InvalidParameterError, match="mass exactly 1"):
+                ay_max_law(D0, FLOAT_THIRDS, x)
 
 
 def _full_state_max_exceedance(plan, x):
@@ -269,7 +308,7 @@ def _full_state_max_exceedance(plan, x):
                 new[pos, flag] = new.get((pos, flag), F(0)) + w
 
         for (pos, flag), w in states.items():
-            if not iv.contains_strict(pos):
+            if not contains_strict(iv, pos):
                 add(pos, flag, w)
                 continue
             a, b = iv.lower, iv.upper
@@ -311,7 +350,7 @@ def test_sparse_max_exceedance_matches_full_state(seed, kind):
     xs = points + [(a + b) / 2 for a, b in zip(points, points[1:])]
     xs += [points[0] - 1, points[-1] + F(1, 3)]
     for x in xs:
-        assert _max_exceedance_exact(plan, x) == _full_state_max_exceedance(plan, x)
+        assert exceedance(plan, x) == _full_state_max_exceedance(plan, x)
 
 
 class TestReport:
