@@ -314,20 +314,19 @@ def cmd_verify(args) -> int:
 
 def cmd_diagram(args) -> int:
     load_problem_spec(args.spec)  # validates the spec side
-    svg = render_plan_svg(_load_plan(args.plan))
-    try:
-        Path(args.out).write_text(svg, encoding="utf-8")
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return 2
+    _emit(render_plan_svg(_load_plan(args.plan)), args.out)
     return 0
 
 
 def _emit(text: str, out) -> None:
-    if out:
-        Path(out).write_text(text, encoding="utf-8")
-    else:
+    """Write a command's output to ``out``, or to stdout when it is unset."""
+    if not out:
         sys.stdout.write(text)
+        return
+    try:
+        Path(out).write_text(text, encoding="utf-8")
+    except OSError as exc:
+        raise ProblemSpecError(f"cannot write {out}: {exc}") from None
 
 
 def _parser() -> argparse.ArgumentParser:

@@ -127,60 +127,35 @@ def max_law_bound(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fractio
 
 
 def _max_exceedance_exact(mu0: AtomicMeasure, intervals: Sequence[Interval], x: Real) -> Fraction:
-    """P(running max >= x) from mu0 through these step intervals, by exact
-    dynamic programming over (position, exceeded) states with each step's
-    hitting-race probabilities.  The states are sorted positions, each with
-    its [max < x, max >= x] masses.  A step bisects for the positions
-    strictly inside its interval and moves only those, to its ends, so the
-    work follows the mass that moves, not the number of atoms."""
+    """P(running max >= x) from mu0 through these step intervals, exactly.
+
+    Only the mass that has not reached x is kept: one mass per sorted
+    position below x.  A step (a, b) is cut at m = min(b, x): it sweeps the
+    positions strictly inside (a, m) onto a with weight (m - pos)/(m - a)
+    and onto m with the rest; a collapse up (a = -inf) sends all of it to m.
+    Mass landing on x has reached x and leaves, and the answer is what has
+    left.  A step bisects for the positions it moves, so the work follows
+    the mass that moves; a step at or above x touches nothing."""
     xf = frac(x)
-    xs: list[Fraction] = []  # the positions holding mass, ascending
-    mass: dict[Fraction, list[Fraction]] = {}
-    for pos, w in mu0.atoms:
-        xs.append(pos)
-        mass[pos] = [Fraction(0), w] if pos >= xf else [w, Fraction(0)]
-
-    def add(pos, flag, w):
-        mass[pos][flag] += w
-
+    xs = [pos for pos in mu0.positions if pos < xf]  # ascending
+    mass = {pos: w for pos, w in mu0.atoms if pos < xf}
     for iv in intervals:
-        a, b = iv.lower, iv.upper
+        a = iv.lower
+        m = xf if iv.upper is None else min(iv.upper, xf)
         i = 0 if a is None else bisect_right(xs, a)
-        j = len(xs) if b is None else bisect_left(xs, b)
+        j = bisect_left(xs, m)
+        if i >= j:
+            continue
         inside = [(pos, mass.pop(pos)) for pos in xs[i:j]]
         del xs[i:j]
-        for end in (b, a):  # both land at index i, a before b
-            if end is not None and end not in mass:
-                xs.insert(i, end)
-                mass[end] = [Fraction(0), Fraction(0)]
-        for pos, ws in inside:
-            for flag, w in enumerate(ws):
-                if not w:
-                    continue
-                if a is not None and b is not None:
-                    p_lo = (b - pos) / (b - a)
-                    # exit at b: the within-step maximum is b itself
-                    add(b, flag or xf <= b, (1 - p_lo) * w)
-                    if flag or xf <= pos:
-                        add(a, True, p_lo * w)
-                    elif pos < xf <= b:
-                        q = ((pos - a) * (b - xf)) / ((xf - a) * (b - pos))
-                        add(a, True, p_lo * w * q)
-                        add(a, False, p_lo * w * (1 - q))
-                    else:  # xf > b: unreachable within this step
-                        add(a, False, p_lo * w)
-                elif b is None:
-                    # collapse down to a from pos > a; max has survival (pos-a)/(m-a)
-                    if flag or xf <= pos:
-                        add(a, True, w)
-                    else:
-                        q = (pos - a) / (xf - a)
-                        add(a, True, w * q)
-                        add(a, False, w * (1 - q))
-                else:
-                    # collapse up to b from pos < b; the within-step maximum is b
-                    add(b, flag or xf <= b, w)
-    return sum((ws[1] for ws in mass.values()), Fraction(0))
+        to_a = Fraction(0) if a is None else sum(w * (m - pos) for pos, w in inside) / (m - a)
+        to_m = sum(w for _, w in inside) - to_a
+        for end, w in ((m, to_m), (a, to_a)):  # both land at index i, a before m
+            if w and end < xf:  # to_a is 0 when a is None
+                if end not in mass:
+                    xs.insert(i, end)
+                mass[end] = mass.get(end, 0) + w
+    return mu0.total_mass - sum(mass.values(), Fraction(0))
 
 
 @lru_cache(maxsize=1)
@@ -194,7 +169,8 @@ def _ay_intervals(mu0: AtomicMeasure, target: AtomicMeasure) -> tuple[Interval, 
 def ay_max_law(mu0: AtomicMeasure, target: AtomicMeasure, x: Real) -> Fraction:
     """Exact P(running max >= x) under the Azema-Yor plan for the pair,
     integrated over the starting law; attains max_law_bound wherever the
-    bound is positive.  The pair's plan is built once (see ``_ay_intervals``)."""
+    bound is positive.  The pair's plan is built once (see ``_ay_intervals``),
+    and each threshold sweeps only the mass that has not reached it."""
     return _max_exceedance_exact(mu0, _ay_intervals(mu0, target), x)
 
 

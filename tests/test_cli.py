@@ -177,6 +177,19 @@ def test_plan_spec_mismatch_exit_2(spec_file, tmp_path):
     assert main(["verify", "--spec", str(spec_file), "--plan", str(plan_file)]) == 2
 
 
+@pytest.mark.parametrize("command", ["analyze", "build", "verify", "diagram"])
+def test_unwritable_out_exit_2(spec_file, tmp_path, capsys, command):
+    plan_file = tmp_path / "plan.json"
+    assert main(["build", "--spec", str(spec_file), "--out", str(plan_file)]) == 0
+    out = tmp_path / "missing" / "out.txt"
+    plan = ["--plan", str(plan_file)] if command in ("verify", "diagram") else []
+    capsys.readouterr()
+    assert main([command, "--spec", str(spec_file), *plan, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {out}: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_diagram_deterministic(spec_file, tmp_path):
     plan_file = tmp_path / "plan.json"
     main(["build", "--spec", str(spec_file), "--out", str(plan_file)])

@@ -13,6 +13,7 @@ from conftest import (
     mass_below,
     mass_upto,
     probe_points,
+    random_cuts,
     random_prob_measure,
     split_at,
 )
@@ -351,6 +352,52 @@ def test_sparse_max_exceedance_matches_full_state(seed, kind):
     xs += [points[0] - 1, points[-1] + F(1, 3)]
     for x in xs:
         assert exceedance(plan, x) == _full_state_max_exceedance(plan, x)
+
+
+def _self_target_plan(rng, mu0):
+    """A plan of random cuts whose target is its own final measure and whose
+    C is its own shift u_target(0) - final_potential(0), so its residual is 0."""
+    cuts = random_cuts(rng, mu0)
+    first = cw_run(mu0, cuts, mu0, gap_constant(mu0, mu0))
+    target = first.final_measure
+    return cw_run(mu0, cuts, target, target.potential().evaluate(0) - first.final_potential.evaluate(0))
+
+
+@given(seed=st.integers(0, 2**32),
+       kind=st.sampled_from(["custom", "azema-yor", "reversed-azema-yor", "jacka"]),
+       expect=st.none())
+@settings(max_examples=80, deadline=None)
+@example(seed=0, kind="custom", expect=True)
+@example(seed=1, kind="custom", expect=False)
+def test_structural_check_is_C_check(seed, kind, expect):
+    """For a plan with residual 0, no step strictly contains a contact point
+    exactly when plan.C equals the pair's gap constant.  Three facts:
+    - a cut lowers the potential only strictly inside its interval, so the
+      final potential equals u0 at every point no step strictly contains
+      and lies below it at every other point;
+    - u0 = c = u_target - pair.C at every contact point;
+    - residual 0 means the final potential is u_target - plan.C.
+    So at a contact point the final potential is u0 - (plan.C - pair.C),
+    and it lies below u0 (some step strictly contains the point) exactly
+    when plan.C > pair.C."""
+    rng = random.Random(seed)
+    mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
+    plan = _self_target_plan(rng, mu0) if kind == "custom" else PLAN_BUILDERS[kind](rng, mu0, mu)
+    assert plan.residual == 0
+    ok = minimality._structural_ok(plan, contact_region(plan.mu0, plan.target))
+    assert ok == (plan.C == pair(plan.mu0, plan.target).C)
+    if expect is not None:  # both outcomes occur
+        assert ok == expect
+
+
+def test_structural_check_is_not_C_check_off_residual_0():
+    # a complete but inexact plan: the C comparison fails while no step
+    # crosses a contact point, so the scan stays
+    mu = AtomicMeasure.from_pairs([(-2, F(1, 4)), (0, F(1, 2)), (2, F(1, 4))])
+    plan = cw_run(PM1, ay_sweep(PM1, mu), mu, pair(PM1, mu).C + F(1, 10**10))
+    assert plan.residual == F(1, 10**10) and plan.complete
+    assert minimality._structural_ok(plan, contact_region(PM1, mu))
+    assert plan.C != pair(PM1, mu).C
 
 
 class TestReport:
