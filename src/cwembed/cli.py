@@ -23,7 +23,8 @@ be integral numbers (1e5 is one).
 
 A plan file holds mu0, target, C and each step's slope and intercept as
 exact "p/q" strings; verify and diagram replay the tangents to rebuild the
-rest.  Its residual is a float for reading only.
+rest, and refuse a plan for measures other than the spec's (exit 2).  Its
+residual is a float for reading only.
 
 Exit codes: 0 ok; 2 parse error or input mismatch (the message names the
 field); 3 inadmissible or truncated construction; 4 verification failure.
@@ -50,7 +51,7 @@ from .construct import (
     vallois_eps_plan,
 )
 from .diagram import render_plan_svg
-from .errors import EmbedError, InadmissibleConstantError, ProblemSpecError, field_errors
+from .errors import EmbedError, IncompletePlanError, ProblemSpecError, field_errors
 from .measure import MASS_TOL, AtomicMeasure, frac, gap_constant, pair
 
 _CONSTRUCTIONS = ("azema-yor", "reversed-azema-yor", "jacka", "vallois", "custom")
@@ -181,13 +182,15 @@ def build_plan(spec: ProblemSpec) -> EmbeddingPlan:
     return cw_run(spec.mu0, spec.construction["tangents"], spec.mu, spec.construction["C"])
 
 
+def _end(v, sign) -> str:
+    """A region's end as text: None is the infinity of ``sign``."""
+    return sign + "inf" if v is None else format(v, ".6g")
+
+
 def _region_text(wire) -> str:
     """A contact region's wire form as text, such as "[-inf, 0] U {2}"."""
-    def end(v, sign):
-        return sign + "inf" if v is None else format(v, ".6g")
-
-    parts = ["{%s}" % end(lo, "-") if lo is not None and lo == hi
-             else "[%s, %s]" % (end(lo, "-"), end(hi, "+")) for lo, hi in wire]
+    parts = ["{%s}" % _end(lo, "-") if lo is not None and lo == hi
+             else "[%s, %s]" % (_end(lo, "-"), _end(hi, "+")) for lo, hi in wire]
     return " U ".join(parts) or "(empty)"
 
 
@@ -218,8 +221,7 @@ def cmd_analyze(args) -> int:
                      + ", ".join(f"({x:.6g}, {v:.6g})" for x, v in payload["mu_potential"]))
         lines.append(f"C = {payload['C']:.9g}")
         lines.append(f"contact set = {_region_text(payload['region'])}")
-        lines.append(f"a- = {'-inf' if payload['a_minus'] is None else format(payload['a_minus'], '.6g')}"
-                     f"   a+ = {'+inf' if payload['a_plus'] is None else format(payload['a_plus'], '.6g')}")
+        lines.append(f"a- = {_end(payload['a_minus'], '-')}   a+ = {_end(payload['a_plus'], '+')}")
         lines.append("max-law bound:")
         for t, b in payload["max_law_bound"]:
             lines.append(f"  P(max >= {t:.6g}) <= {b:.9g}")
@@ -229,12 +231,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_build(args) -> int:
-    spec = load_problem_spec(args.spec)
-    try:
-        plan = build_plan(spec)
-    except InadmissibleConstantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+    plan = build_plan(load_problem_spec(args.spec))
     text = json.dumps(plan.to_wire(), indent=2, sort_keys=True) + "\n"
     _emit(text, args.out)
     if not plan.complete:
@@ -243,21 +240,21 @@ def cmd_build(args) -> int:
     return 0
 
 
-def _load_plan(path) -> EmbeddingPlan:
-    """Read a plan file and replay it; any fault is a ProblemSpecError."""
+def _load_plan(path, spec: ProblemSpec) -> EmbeddingPlan:
+    """Read a plan file and replay it; any fault, or measures other than the
+    spec's, is a ProblemSpecError."""
     with field_errors("cannot load plan"):
-        return EmbeddingPlan.from_wire(_read_json(path))
+        plan = EmbeddingPlan.from_wire(_read_json(path))
+    if not (plan.mu0 == spec.mu0 and plan.target == spec.mu):
+        raise ProblemSpecError("plan measures do not match the problem spec")
+    return plan
 
 
 def cmd_verify(args) -> int:
     spec = load_problem_spec(args.spec)
-    plan = _load_plan(args.plan)
-    if not (plan.mu0 == spec.mu0 and plan.target == spec.mu):
-        print("error: plan measures do not match the problem spec", file=sys.stderr)
-        return 2
+    plan = _load_plan(args.plan, spec)
     if not plan.complete:
-        print(f"error: plan incomplete, residual = {float(plan.residual):.6g}", file=sys.stderr)
-        return 3
+        raise IncompletePlanError(f"plan incomplete, residual = {float(plan.residual):.6g}")
 
     n = spec.n_paths if args.paths is None else _path_count(args.paths, "--paths")
     seed = spec.seed if args.seed is None else _seed(args.seed, "--seed")
@@ -313,8 +310,8 @@ def cmd_verify(args) -> int:
 
 
 def cmd_diagram(args) -> int:
-    load_problem_spec(args.spec)  # validates the spec side
-    _emit(render_plan_svg(_load_plan(args.plan)), args.out)
+    spec = load_problem_spec(args.spec)
+    _emit(render_plan_svg(_load_plan(args.plan, spec)), args.out)
     return 0
 
 
@@ -366,12 +363,9 @@ def main(argv=None) -> int:
     args = _parser().parse_args(argv)
     try:
         return args.fn(args)
-    except ProblemSpecError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except EmbedError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return 2 if isinstance(exc, ProblemSpecError) else 3
 
 
 if __name__ == "__main__":

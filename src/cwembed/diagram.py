@@ -17,6 +17,14 @@ def _fmt(v: float) -> str:
     return format(float(v), ".6g")
 
 
+def _line(x1, y1, x2, y2, style: str) -> str:
+    return f'<line x1="{_fmt(x1)}" y1="{_fmt(y1)}" x2="{_fmt(x2)}" y2="{_fmt(y2)}" {style}/>'
+
+
+def _text(x, y, attrs: str, body) -> str:
+    return f'<text x="{_fmt(x)}" y="{_fmt(y)}" {attrs}>{body}</text>'
+
+
 def render_plan_svg(plan: EmbeddingPlan) -> str:
     """The plan's diagram.  Each potential is sampled in one walk over the
     sorted sample points; the samples set the vertical range and the curve."""
@@ -62,54 +70,32 @@ def render_plan_svg(plan: EmbeddingPlan) -> str:
 
     # axes
     y0 = py(0)
-    parts.append(
-        f'<line x1="{_fmt(px(lo_x))}" y1="{_fmt(y0)}" x2="{_fmt(px(hi_x))}" y2="{_fmt(y0)}" '
-        'stroke="#999" stroke-width="1"/>'
-    )
+    axis = 'stroke="#999" stroke-width="1"'
+    parts.append(_line(px(lo_x), y0, px(hi_x), y0, axis))
     if lo_x <= 0 <= hi_x:
-        parts.append(
-            f'<line x1="{_fmt(px(0))}" y1="{_fmt(py(lo_y))}" x2="{_fmt(px(0))}" '
-            f'y2="{_fmt(py(hi_y))}" stroke="#999" stroke-width="1"/>'
-        )
+        parts.append(_line(px(0), py(lo_y), px(0), py(hi_y), axis))
     for x in kinks:
-        parts.append(
-            f'<line x1="{_fmt(px(x))}" y1="{_fmt(y0 - 4)}" x2="{_fmt(px(x))}" '
-            f'y2="{_fmt(y0 + 4)}" stroke="#999" stroke-width="1"/>'
-        )
-        parts.append(
-            f'<text x="{_fmt(px(x))}" y="{_fmt(y0 + 16)}" font-size="11" '
-            f'text-anchor="middle" fill="#555">{_fmt(x)}</text>'
-        )
+        parts.append(_line(px(x), y0 - 4, px(x), y0 + 4, axis))
+        parts.append(_text(px(x), y0 + 16, 'font-size="11" text-anchor="middle" fill="#555"',
+                           _fmt(x)))
 
     # tangents, dashed, clipped to the plotting range
     for i, st in enumerate(plan.steps):
         f = st.tangent
-        parts.append(
-            f'<line x1="{_fmt(px(lo_x))}" y1="{_fmt(py(f(lo_x)))}" '
-            f'x2="{_fmt(px(hi_x))}" y2="{_fmt(py(f(hi_x)))}" '
-            'stroke="#888" stroke-width="1" stroke-dasharray="6,4"/>'
-        )
+        parts.append(_line(px(lo_x), py(f(lo_x)), px(hi_x), py(f(hi_x)),
+                           'stroke="#888" stroke-width="1" stroke-dasharray="6,4"'))
         a = st.interval.lower if st.interval.lower is not None else lo_x
         b = st.interval.upper if st.interval.upper is not None else hi_x
-        ybar = bar_y(i)
-        parts.append(
-            f'<line x1="{_fmt(px(a))}" y1="{_fmt(ybar)}" x2="{_fmt(px(b))}" '
-            f'y2="{_fmt(ybar)}" stroke="#2ca02c" stroke-width="3"/>'
-        )
+        parts.append(_line(px(a), bar_y(i), px(b), bar_y(i),
+                           'stroke="#2ca02c" stroke-width="3"'))
 
     parts.append(polyline(u0_ys, "#1f77b4"))
     parts.append(polyline(c_ys, "#d62728"))
-    parts.append(
-        f'<text x="{_MARGIN}" y="20" font-size="13" fill="#1f77b4">starting potential</text>'
-    )
-    parts.append(
-        f'<text x="{_MARGIN + 150}" y="20" font-size="13" fill="#d62728">'
-        "shifted target potential</text>"
-    )
-    parts.append(
-        f'<text x="{_MARGIN + 340}" y="20" font-size="13" fill="#555">'
-        f"C = {_fmt(plan.C)}, steps = {len(plan.steps)}</text>"
-    )
-    parts.append(f'<text x="{_W - 24}" y="{_fmt(y0 - 8)}" font-size="12" fill="#555">x</text>')
+    parts.append(_text(_MARGIN, 20, 'font-size="13" fill="#1f77b4"', "starting potential"))
+    parts.append(_text(_MARGIN + 150, 20, 'font-size="13" fill="#d62728"',
+                       "shifted target potential"))
+    parts.append(_text(_MARGIN + 340, 20, 'font-size="13" fill="#555"',
+                       f"C = {_fmt(plan.C)}, steps = {len(plan.steps)}"))
+    parts.append(_text(_W - 24, y0 - 8, 'font-size="12" fill="#555"', "x"))
     parts.append("</svg>")
     return "\n".join(parts) + "\n"

@@ -28,6 +28,7 @@ about q * 2**53 levels, far finer than 1/MAX_PATHS unless q < 1e-9.
 
 from __future__ import annotations
 
+import bisect
 import math
 import weakref
 from dataclasses import dataclass
@@ -94,6 +95,13 @@ class _PlanData:
 
 
 def _stream(seed: int, row0: int, row_len: int) -> np.random.Generator:
+    """The draws from row ``row0`` on.  The seed must fit Philox's 128-bit
+    key, and the row must be one a batch has (below MAX_PATHS): far past it
+    the 256-bit counter wraps onto earlier rows' draws."""
+    if not 0 <= seed < 2**128:
+        raise InvalidParameterError(f"seed must be in [0, 2**128), got {seed}")
+    if not 0 <= row0 < MAX_PATHS:
+        raise InvalidParameterError(f"path index must be in [0, {MAX_PATHS}), got {row0}")
     bg = np.random.Philox(key=seed)
     if row0:
         bg.advance(row0 * row_len // 4)  # advance counts 4-double counter blocks
@@ -231,10 +239,9 @@ def sample_path(plan: EmbeddingPlan, seed: int, index: int) -> PathSample:
 
     Identical to row ``index`` of any batched estimate with the same seed:
     the row replays through the kernel's exit law, recording each step the
-    path is inside.  A negative index, a row no batch has, is refused.
+    path is inside.  An index outside [0, MAX_PATHS), a row no batch has, is
+    refused.
     """
-    if index < 0:
-        raise InvalidParameterError(f"path index must be >= 0, got {index}")
     pd = _PlanData(plan)
     u = _stream(seed, index, pd.row_len).random((1, pd.row_len))
     start = _starts(pd, u)
@@ -264,23 +271,25 @@ def empirical_law(
 
 
 def tv_distance(law: EmpiricalLaw, m: AtomicMeasure) -> float:
-    """Total-variation distance between the empirical atom frequencies and m,
-    matching positions within ATOM_TOL for a Vallois plan's off-target atoms."""
-    events = sorted(
-        [(p, f, 0.0) for p, f in law.atom_frequencies.items()]
-        + [(float(x), 0.0, float(w)) for x, w in m.atoms]
-    )
+    """Total-variation distance between the empirical atom frequencies and m.
+    Each empirical position counts toward the nearest atom of m within
+    ATOM_TOL (only a Vallois plan ends off the target atoms), or else on its
+    own; two atoms of m never merge.  Terms add in ascending position order."""
+    xs = [float(x) for x in m.positions]
+    emp = [0.0] * len(xs)
+    terms = []
+    for p, f in sorted(law.atom_frequencies.items()):
+        j = bisect.bisect_left(xs, p)  # xs[j - 1] < p <= xs[j]; take the nearer
+        if j == len(xs) or j and p - xs[j - 1] < xs[j] - p:
+            j -= 1
+        if j >= 0 and abs(xs[j] - p) <= ATOM_TOL:
+            emp[j] += f
+        else:
+            terms.append((p, f))
+    terms += ((x, abs(e - float(w))) for x, e, w in zip(xs, emp, m.weights))
     total = 0.0
-    i = 0
-    while i < len(events):
-        p0, emp, ana = events[i]
-        j = i + 1
-        while j < len(events) and events[j][0] - p0 <= ATOM_TOL:
-            emp += events[j][1]
-            ana += events[j][2]
-            j += 1
-        total += abs(emp - ana)
-        i = j
+    for _, t in sorted(terms):
+        total += t
     return total / 2.0
 
 

@@ -177,6 +177,54 @@ def test_plan_spec_mismatch_exit_2(spec_file, tmp_path):
     assert main(["verify", "--spec", str(spec_file), "--plan", str(plan_file)]) == 2
 
 
+PAIR_SPEC = {"mu0": [[-1, 0.5], [1, 0.5]], "mu": [[0, 1]]}
+OTHER_PAIR_SPEC = {"mu0": [[0, 1]], "mu": [[-2, 0.5], [2, 0.5]]}
+BELOW_GAP_SPEC = dict(SPEC, construction={"type": "custom", "tangents": [[1, -1], [-1, -1]],
+                                          "C": 0.9999999999})
+TRUNCATED_SPEC = dict(SPEC, mu0=[[0, 1.0]], mu=[[-1, 0.5], [1, 0.5]],
+                      construction={"type": "vallois", "eps": 0.25, "max_steps": 3})
+
+
+def _cli(argv):
+    """Exit code and standard error of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        rc = main(argv)
+    return rc, err.getvalue()
+
+
+@pytest.mark.parametrize(
+    "plan_spec, spec, command, code, line",
+    [
+        (BELOW_GAP_SPEC, None, "build", 3,
+         "error: C=9999999999/10000000000 below the admissible bound 1\n"),
+        (PAIR_SPEC, OTHER_PAIR_SPEC, "verify", 2,
+         "error: plan measures do not match the problem spec\n"),
+        (TRUNCATED_SPEC, TRUNCATED_SPEC, "verify", 3,
+         "error: plan incomplete, residual = 0.45\n"),
+        (PAIR_SPEC, OTHER_PAIR_SPEC, "diagram", 2,
+         "error: plan measures do not match the problem spec\n"),
+    ],
+)
+def test_error_line_and_exit_code(tmp_path, plan_spec, spec, command, code, line):
+    """The one stderr line and exit code of a refused command; a refused
+    diagram writes no SVG."""
+    plan_spec_file, spec_file = tmp_path / "plan_spec.json", tmp_path / "spec.json"
+    plan_file, out = tmp_path / "plan.json", tmp_path / "out.svg"
+    plan_spec_file.write_text(json.dumps(plan_spec))
+    rc, err = _cli(["build", "--spec", str(plan_spec_file), "--out", str(plan_file)])
+    if spec is None:
+        assert (rc, err) == (code, line)
+        assert not plan_file.exists()
+        return
+    assert rc in (0, 3)  # a truncated plan is written before build exits 3
+    spec_file.write_text(json.dumps(spec))
+    extra = ["--out", str(out)] if command == "diagram" else []
+    rc, err = _cli([command, "--spec", str(spec_file), "--plan", str(plan_file), *extra])
+    assert (rc, err) == (code, line)
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command", ["analyze", "build", "verify", "diagram"])
 def test_unwritable_out_exit_2(spec_file, tmp_path, capsys, command):
     plan_file = tmp_path / "plan.json"

@@ -83,11 +83,19 @@ class TestSamplePath:
         with pytest.raises(IncompletePlanError):
             sample_path(truncated, 0, 0)
 
-    @pytest.mark.parametrize("index", [-1, -(2**64)])
-    def test_negative_index_rejected(self, index):
-        # a batch has no row below 0 for the path to match
+    @pytest.mark.parametrize("index", [-1, -(2**64), sim.MAX_PATHS, 2**256])
+    def test_index_outside_batch_rejected(self, index):
+        # a batch has no row below 0 or at MAX_PATHS and above for the path
+        # to match; at 2**256 Philox's counter wraps onto row 0
         with pytest.raises(InvalidParameterError, match="index"):
             sample_path(TROUGH_PLAN, 5, index)
+
+    @pytest.mark.parametrize("seed", [-1, 2**128])
+    def test_seed_outside_key_rejected(self, seed):
+        with pytest.raises(InvalidParameterError, match="seed"):
+            sample_path(TROUGH_PLAN, seed, 0)
+        with pytest.raises(InvalidParameterError, match="seed"):
+            empirical_law(TROUGH_PLAN, 10, seed)
 
 
 class TestEmpiricalLaw:
@@ -191,6 +199,11 @@ class TestTvDistance:
     def test_position_matching_tolerance(self):
         law = EmpiricalLaw(2, {-1.0 + 1e-12: 0.5, 1.0: 0.5}, {})
         assert tv_distance(law, PM1) == 0
+
+    def test_distinct_target_atoms_not_merged(self):
+        # all the mass on the wrong one of two atoms closer than ATOM_TOL
+        near = AtomicMeasure.from_pairs([(0, F(1, 2)), (F(1, 10**10), F(1, 2))])
+        assert tv_distance(EmpiricalLaw(100, {0.0: 1.0}, {}), near) == 0.5
 
 
 class TestTails:
