@@ -3,7 +3,8 @@
 Sweeping the mass of the closed interval to its endpoints realizes the law of
 Brownian motion, started from the measure, at the first exit of the open
 interval.  Finite intervals preserve mass and mean; semi-infinite intervals
-preserve mass and shift the mean by -+ delta_m.
+preserve mass and shift the mean by -+ delta_m.  One in-place sweep,
+``_sweep``, holds this exit law for ``balayage`` and the exact max law.
 """
 
 from __future__ import annotations
@@ -37,6 +38,42 @@ class Interval:
         return self.lower is not None and self.upper is not None
 
 
+def _sweep(xs: list, mass: dict, a: Optional[Fraction], b: Optional[Fraction]) -> bool:
+    """Sweep, in place, the mass strictly inside (a, b) onto its finite ends,
+    and say whether any moved.  ``xs`` holds the ascending positions and
+    ``mass`` their weights.  An atom at x goes to a with weight
+    (b - x)/(b - a) and to b with the rest; with one end infinite (None) all
+    of it goes to the finite end.  Two bisections find the positions it
+    moves, so the work follows the mass that moves."""
+    i = 0 if a is None else bisect_right(xs, a)
+    j = len(xs) if b is None else bisect_left(xs, b)
+    if i >= j:
+        return False
+    inside = [(x, mass.pop(x)) for x in xs[i:j]]
+    del xs[i:j]
+    total = sum(w for _, w in inside)
+    if a is not None and b is not None:
+        to_a = sum(w * (b - x) for x, w in inside) / (b - a)
+    else:
+        to_a = total if b is None else 0
+    for end, w in ((b, total - to_a), (a, to_a)):  # both land at index i, a before b
+        if w and end in mass:
+            mass[end] += w
+        elif w:  # an infinite end gets nothing
+            xs.insert(i, end)
+            mass[end] = w
+    return True
+
+
+def balayage(m: AtomicMeasure, interval: Interval) -> AtomicMeasure:
+    """The law at the first exit of the interval, started from m; mass
+    outside the open interval is untouched."""
+    lo, hi = interval.lower, interval.upper
+    xs, mass = list(m.positions), dict(m.atoms)
+    _sweep(xs, mass, lo if lo is None else frac(lo), hi if hi is None else frac(hi))
+    return AtomicMeasure(tuple((x, mass[x]) for x in xs))
+
+
 def balayage_finite(m: AtomicMeasure, a: Real, b: Real) -> AtomicMeasure:
     """Sweep the mass of [a, b] onto {a, b} with the exit-probability weights
     (b-x)/(b-a) and (x-a)/(b-a); mass outside is untouched.
@@ -44,13 +81,7 @@ def balayage_finite(m: AtomicMeasure, a: Real, b: Real) -> AtomicMeasure:
     af, bf = frac(a), frac(b)
     if af >= bf:
         raise InvalidIntervalError(f"need a < b, got a={af}, b={bf}")
-    i, j = bisect_left(m.positions, af), bisect_right(m.positions, bf)
-    swept = m.atoms[i:j]
-    mass = sum((w for _, w in swept), Fraction(0))
-    # the weights (b-x)/(b-a) summed over the swept atoms, in one division
-    at_a = (bf * mass - sum((w * x for x, w in swept), Fraction(0))) / (bf - af)
-    ends = tuple((x, w) for x, w in ((af, at_a), (bf, mass - at_a)) if w > 0)
-    return AtomicMeasure(m.atoms[:i] + ends + m.atoms[j:])
+    return balayage(m, Interval(af, bf))
 
 
 def balayage_semi(m: AtomicMeasure, a: Real, side: Side) -> AtomicMeasure:
@@ -59,17 +90,9 @@ def balayage_semi(m: AtomicMeasure, a: Real, side: Side) -> AtomicMeasure:
     side="above" sweeps [a, inf), side="below" sweeps (-inf, a].
     """
     af = frac(a)
-    if side == "above":
-        moved = [(x, w) for x, w in m.atoms if x >= af]
-        kept = [(x, w) for x, w in m.atoms if x < af]
-    elif side == "below":
-        moved = [(x, w) for x, w in m.atoms if x <= af]
-        kept = [(x, w) for x, w in m.atoms if x > af]
-    else:
+    if side not in ("above", "below"):
         raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-    total = sum((w for _, w in moved), Fraction(0))
-    pairs = kept + ([(af, total)] if total > 0 else [])
-    return AtomicMeasure.from_pairs(pairs)
+    return balayage(m, Interval(af, None) if side == "above" else Interval(None, af))
 
 
 def delta_m(m: AtomicMeasure, a: Real, side: Side) -> Fraction:
@@ -82,12 +105,3 @@ def delta_m(m: AtomicMeasure, a: Real, side: Side) -> Fraction:
     if side == "below":
         return sum((w * (af - x) for x, w in m.atoms if x <= af), Fraction(0))
     raise ValueError(f"side must be 'above' or 'below', got {side!r}")
-
-
-def balayage(m: AtomicMeasure, interval: Interval) -> AtomicMeasure:
-    """Dispatch on the interval kind."""
-    if interval.is_finite:
-        return balayage_finite(m, interval.lower, interval.upper)
-    if interval.upper is None:
-        return balayage_semi(m, interval.lower, "above")
-    return balayage_semi(m, interval.upper, "below")

@@ -51,28 +51,27 @@ def frac(x: Union[Real, str]) -> Fraction:
     if isinstance(x, str) and "/" not in x:
         approx, exact = float(x), Decimal(x)
         if not math.isfinite(approx) or (approx == 0) != exact.is_zero():
-            raise _out_of_range(x)
+            raise ValueError(f"number {_brief(x)} is out of range")
         return Fraction(exact)
     q = Fraction(x)
     try:
         float(q)
     except OverflowError:
-        raise _out_of_range(x) from None
+        raise ValueError(f"number {_brief(x)} is out of range") from None
     return q
 
 
-def _out_of_range(x) -> ValueError:
-    """The refusal of ``x``; a long number is shown by its head and length.
-    A long int is cut by arithmetic: ``str`` refuses one of over 4300 digits."""
+def _brief(x) -> str:
+    """``x`` for a message: a number of over 40 characters is shown by its
+    first 20 and its digit count.  A long int is cut by arithmetic: ``str``
+    refuses one of over 4300 digits."""
     if isinstance(x, int) and abs(x) >= 10**40:
         n = abs(x)
         d = int((n.bit_length() - 1) * math.log10(2)) + 1  # n's digits, or one fewer
         d += n >= 10**d
-        s = f"{'-' * (x < 0)}{n // 10 ** (d - 20 + (x < 0))}... ({d} digits)"
-    else:
-        s = str(x)
-        s = s if len(s) <= 40 else f"{s[:20]}... ({sum(map(str.isdigit, s))} digits)"
-    return ValueError(f"number {s} is out of range")
+        return f"{'-' * (x < 0)}{n // 10 ** (d - 20 + (x < 0))}... ({d} digits)"
+    s = str(x)
+    return s if len(s) <= 40 else f"{s[:20]}... ({sum(map(str.isdigit, s))} digits)"
 
 
 @dataclass(frozen=True)
@@ -80,7 +79,8 @@ class AtomicMeasure:
     """Finitely supported sub-probability measure.
 
     ``atoms`` is a tuple of (position, weight) pairs with strictly increasing
-    positions and strictly positive weights; total mass must lie in [0, 1].
+    positions and strictly positive weights; total mass must lie in
+    [0, 1 + MASS_TOL]: the CLI builds a spec measure, then rescales it to 1.
     Instances are immutable and safe to share between threads.
     """
 

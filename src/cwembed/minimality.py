@@ -7,14 +7,13 @@ that a plan never crosses the contact set.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
 from . import simulate
-from .balayage import Interval
+from .balayage import Interval, _sweep
 from .construct import EmbeddingPlan, ay_sweep, cw_run, tangent_ratio_min
 from .errors import IncompletePlanError
 from .measure import AtomicMeasure, Endpoint, Real, frac, gap_constant, pair
@@ -130,31 +129,17 @@ def _max_exceedance_exact(mu0: AtomicMeasure, intervals: Sequence[Interval], x: 
     """P(running max >= x) from mu0 through these step intervals, exactly.
 
     Only the mass that has not reached x is kept: one mass per sorted
-    position below x.  A step (a, b) is cut at m = min(b, x): it sweeps the
-    positions strictly inside (a, m) onto a with weight (m - pos)/(m - a)
-    and onto m with the rest; a collapse up (a = -inf) sends all of it to m.
-    Mass landing on x has reached x and leaves, and the answer is what has
-    left.  A step bisects for the positions it moves, so the work follows
-    the mass that moves; a step at or above x touches nothing."""
+    position below x.  A step (a, b) is the balayage sweep of (a, min(b, x)),
+    an infinite b counting as x; the mass that lands on x has reached x and
+    leaves, and the answer is what has left.  The sweep moves only the mass
+    strictly inside, so a step at or above x touches nothing."""
     xf = frac(x)
     xs = [pos for pos in mu0.positions if pos < xf]  # ascending
     mass = {pos: w for pos, w in mu0.atoms if pos < xf}
     for iv in intervals:
-        a = iv.lower
-        m = xf if iv.upper is None else min(iv.upper, xf)
-        i = 0 if a is None else bisect_right(xs, a)
-        j = bisect_left(xs, m)
-        if i >= j:
-            continue
-        inside = [(pos, mass.pop(pos)) for pos in xs[i:j]]
-        del xs[i:j]
-        to_a = Fraction(0) if a is None else sum(w * (m - pos) for pos, w in inside) / (m - a)
-        to_m = sum(w for _, w in inside) - to_a
-        for end, w in ((m, to_m), (a, to_a)):  # both land at index i, a before m
-            if w and end < xf:  # to_a is 0 when a is None
-                if end not in mass:
-                    xs.insert(i, end)
-                mass[end] = mass.get(end, 0) + w
+        b = xf if iv.upper is None else min(iv.upper, xf)
+        if _sweep(xs, mass, iv.lower, b) and xs[-1] == xf:  # x is the last position
+            del mass[xs.pop()]  # the mass that reached x leaves
     return mu0.total_mass - sum(mass.values(), Fraction(0))
 
 

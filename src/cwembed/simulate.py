@@ -39,10 +39,7 @@ import numpy as np
 from .balayage import Interval
 from .construct import EmbeddingPlan
 from .errors import IncompletePlanError, InvalidParameterError
-from .measure import AtomicMeasure
-
-#: positions closer than this match one atom; only a Vallois plan ends off them
-ATOM_TOL = 1e-9
+from .measure import VALUE_TOL, AtomicMeasure, _brief
 
 #: most paths one pass simulates: its per-path arrays take 48 bytes a path,
 #: so a pass at the ceiling holds about 0.5 GB
@@ -99,9 +96,9 @@ def _stream(seed: int, row0: int, row_len: int) -> np.random.Generator:
     key, and the row must be one a batch has (below MAX_PATHS): far past it
     the 256-bit counter wraps onto earlier rows' draws."""
     if not 0 <= seed < 2**128:
-        raise InvalidParameterError(f"seed must be in [0, 2**128), got {seed}")
+        raise InvalidParameterError(f"seed must be in [0, 2**128), got {_brief(seed)}")
     if not 0 <= row0 < MAX_PATHS:
-        raise InvalidParameterError(f"path index must be in [0, {MAX_PATHS}), got {row0}")
+        raise InvalidParameterError(f"path index must be in [0, {MAX_PATHS}), got {_brief(row0)}")
     bg = np.random.Philox(key=seed)
     if row0:
         bg.advance(row0 * row_len // 4)  # advance counts 4-double counter blocks
@@ -273,7 +270,7 @@ def empirical_law(
 def tv_distance(law: EmpiricalLaw, m: AtomicMeasure) -> float:
     """Total-variation distance between the empirical atom frequencies and m.
     Each empirical position counts toward the nearest atom of m within
-    ATOM_TOL (only a Vallois plan ends off the target atoms), or else on its
+    VALUE_TOL (only a Vallois plan ends off the target atoms), or else on its
     own; two atoms of m never merge.  Terms add in ascending position order."""
     xs = [float(x) for x in m.positions]
     emp = [0.0] * len(xs)
@@ -282,7 +279,7 @@ def tv_distance(law: EmpiricalLaw, m: AtomicMeasure) -> float:
         j = bisect.bisect_left(xs, p)  # xs[j - 1] < p <= xs[j]; take the nearer
         if j == len(xs) or j and p - xs[j - 1] < xs[j] - p:
             j -= 1
-        if j >= 0 and abs(xs[j] - p) <= ATOM_TOL:
+        if j >= 0 and abs(xs[j] - p) <= float(VALUE_TOL):
             emp[j] += f
         else:
             terms.append((p, f))

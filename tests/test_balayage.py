@@ -15,6 +15,7 @@ from cwembed import (
     AtomicMeasure,
     Interval,
     InvalidIntervalError,
+    balayage,
     balayage_finite,
     balayage_semi,
     delta_m,
@@ -23,6 +24,8 @@ from cwembed import (
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
 ASYM = AtomicMeasure.from_pairs([(-1, F(2, 3)), (2, F(1, 3))])
+ZERO = AtomicMeasure(())
+SUB = AtomicMeasure.from_pairs([(-1, F(1, 4)), (1, F(1, 2))])  # mass 3/4
 
 
 class TestFinite:
@@ -53,6 +56,11 @@ class TestFinite:
         with pytest.raises(InvalidIntervalError):
             balayage_finite(D0, 1, 1)
 
+    def test_zero_and_sub_probability(self):
+        assert balayage_finite(ZERO, -1, 1) == ZERO
+        assert balayage_finite(SUB, -1, 1) == SUB
+        assert balayage_finite(SUB, -3, 1) == AtomicMeasure.from_pairs([(-3, F(1, 8)), (1, F(5, 8))])
+
 
 class TestSemi:
     def test_collapse_above(self):
@@ -67,6 +75,43 @@ class TestSemi:
         assert balayage_semi(ASYM, 0, "below") == AtomicMeasure.from_pairs(
             [(0, F(2, 3)), (2, F(1, 3))]
         )
+
+    def test_zero_and_sub_probability(self):
+        assert balayage_semi(ZERO, 0, "above") == ZERO
+        assert balayage_semi(ZERO, 0, "below") == ZERO
+        assert balayage_semi(SUB, 0, "above") == AtomicMeasure.from_pairs(
+            [(-1, F(1, 4)), (0, F(1, 2))]
+        )
+        assert balayage_semi(SUB, 0, "below") == AtomicMeasure.from_pairs(
+            [(0, F(1, 4)), (1, F(1, 2))]
+        )
+
+    def test_side_rejected(self):
+        with pytest.raises(ValueError, match="side must be 'above' or 'below', got 'up'"):
+            balayage_semi(PM1, 0, "up")
+
+
+class TestBalayage:
+    """The exit law of each interval kind, through the one entry point."""
+
+    @pytest.mark.parametrize("m", [ZERO, SUB, PM1, ASYM])
+    @pytest.mark.parametrize("lo, hi", [(-1, 1), (-2, 0), (0, None), (None, 0), (5, None)])
+    def test_exit_law_invariants(self, m, lo, hi):
+        iv = make_interval(lo, hi)
+        out = balayage(m, iv)
+        assert out.total_mass == m.total_mass
+        assert not any(contains_strict(iv, x) for x in out.positions)
+        outside = [[a for a in mm.atoms if not closure_contains(iv, a[0])] for mm in (m, out)]
+        assert outside[0] == outside[1]
+        if iv.is_finite and m.atoms:
+            assert out.mean() == m.mean()
+
+    def test_hand_values(self):
+        assert balayage(SUB, make_interval(-2, 0)) == AtomicMeasure.from_pairs(
+            [(-2, F(1, 8)), (0, F(1, 8)), (1, F(1, 2))]
+        )
+        assert balayage(SUB, make_interval(None, 2)) == AtomicMeasure.point(2, F(3, 4))
+        assert balayage(ZERO, make_interval(None, 2)) == ZERO
 
 
 class TestDeltaM:

@@ -2,6 +2,7 @@ import gc
 import json
 import math
 import random
+import re
 from fractions import Fraction as F
 
 import numpy as np
@@ -87,15 +88,22 @@ class TestSamplePath:
     def test_index_outside_batch_rejected(self, index):
         # a batch has no row below 0 or at MAX_PATHS and above for the path
         # to match; at 2**256 Philox's counter wraps onto row 0
-        with pytest.raises(InvalidParameterError, match="index"):
+        with pytest.raises(InvalidParameterError, match=_got(index)):
             sample_path(TROUGH_PLAN, 5, index)
 
-    @pytest.mark.parametrize("seed", [-1, 2**128])
+    @pytest.mark.parametrize("seed", [-1, 2**128, 2**256])
     def test_seed_outside_key_rejected(self, seed):
-        with pytest.raises(InvalidParameterError, match="seed"):
+        with pytest.raises(InvalidParameterError, match="seed.*" + _got(seed)):
             sample_path(TROUGH_PLAN, seed, 0)
-        with pytest.raises(InvalidParameterError, match="seed"):
+        with pytest.raises(InvalidParameterError, match="seed.*" + _got(seed)):
             empirical_law(TROUGH_PLAN, 10, seed)
+
+
+def _got(n):
+    """The refusal's tail for n: a number past 40 characters is shown by its
+    first 20 and its digit count, the 78 digits of 2**256 among them."""
+    shown = "11579208923731619542... (78 digits)" if n == 2**256 else str(n)
+    return re.escape(f", got {shown}") + "$"
 
 
 class TestEmpiricalLaw:
@@ -201,7 +209,7 @@ class TestTvDistance:
         assert tv_distance(law, PM1) == 0
 
     def test_distinct_target_atoms_not_merged(self):
-        # all the mass on the wrong one of two atoms closer than ATOM_TOL
+        # all the mass on the wrong one of two atoms closer than VALUE_TOL
         near = AtomicMeasure.from_pairs([(0, F(1, 2)), (F(1, 10**10), F(1, 2))])
         assert tv_distance(EmpiricalLaw(100, {0.0: 1.0}, {}), near) == 0.5
 
