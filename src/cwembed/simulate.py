@@ -2,10 +2,11 @@
 
 No time discretization: each balayage step is realized by its two-point exit
 law, and the running maximum / minimum within a step are drawn from the exact
-conditional hitting laws.  Randomness is a counter-based Philox stream keyed
-by the seed (0 <= seed < 2**128); path ``i`` consumes the fixed-size block of
-draws at rows ``i`` of the stream, so single-path sampling, batched
-estimation and any chunking produce identical results.
+conditional hitting laws.  Randomness is the PCG64DXSM stream seeded through
+``SeedSequence(seed)`` (0 <= seed < 2**128); path ``i`` consumes row ``i`` of
+that stream, a fixed-size block of draws that ``advance`` reaches directly,
+so single-path sampling, batched estimation and any chunking produce
+identical results.
 
 One vectorised pass simulates the paths of ``(plan, n, seed)`` once and keeps,
 per path, the start, the final position, the range visited and the range
@@ -14,16 +15,17 @@ strictly before stopping follow from the ranges.  A path moves in a step only
 if it sits strictly inside the step's interval, so each step gathers those
 paths, draws their exit and far extreme, and scatters the results back.  The
 last pass is kept in a one-entry memo, holding its plan weakly, so the law
-and the tail estimates of one plan share it.
+and the tail estimates of one plan share it; the last plan's float view is
+kept the same way, so replaying its paths one by one builds it once.
 
-Per-path draw layout (row of ``row_len`` uniforms, padded to a multiple of 4
-so rows align with Philox counter blocks): column 0 selects the start by
-inverse CDF, and step k owns column 1+k, read only if the path moves in it
-(draws are consumed positionally).  A finite step's uniform w gives the exit,
-low when w < q = P(exit low); given the exit, (q - w)/q or (1 - w)/(1 - q) is
-a fresh uniform for the far extreme (uniform recycling, Devroye 1986).
-Uniforms are multiples of 2**-53, so a low exit's recycled uniform has
-about q * 2**53 levels, far finer than 1/MAX_PATHS unless q < 1e-9.
+Per-path draw layout (row of ``row_len = 1 + steps`` uniforms, each one
+64-bit output of the stream): column 0 selects the start by inverse CDF, and
+step k owns column 1+k, read only if the path moves in it (draws are
+consumed positionally).  A finite step's uniform w gives the exit, low when
+w < q = P(exit low); given the exit, (q - w)/q or (1 - w)/(1 - q) is a fresh
+uniform for the far extreme (uniform recycling, Devroye 1986).  Uniforms are
+multiples of 2**-53, so a low exit's recycled uniform has about q * 2**53
+levels, far finer than 1/MAX_PATHS unless q < 1e-9.
 """
 
 from __future__ import annotations
@@ -71,38 +73,69 @@ class EmpiricalLaw:
 
 
 class _PlanData:
-    """Float view of a plan for the simulator."""
+    """Float view of a plan for the simulator.  A plan whose distinct exact
+    points (mu0's atoms and the finite step ends) share a double is refused:
+    the view would merge them, and its paths would not follow the plan."""
 
     def __init__(self, plan: EmbeddingPlan):
         if not plan.complete:
             raise IncompletePlanError("simulation requires a complete plan")
-        self.positions = np.array([float(x) for x in plan.mu0.positions], dtype=float)
+        exact = {}  # each double met so far -> the exact point it came from
+
+        def to_float(x, missing):
+            if x is None:
+                return missing
+            f = float(x)
+            y = exact.setdefault(f, x)
+            if y is not x and y != x:
+                raise InvalidParameterError(
+                    f"plan points {_brief(y)} and {_brief(x)} are the same double {f!r}"
+                    "; the simulator cannot tell them apart"
+                )
+            return f
+
+        self.positions = np.array([to_float(x, None) for x in plan.mu0.positions], dtype=float)
         w = np.array([float(v) for v in plan.mu0.weights], dtype=float)
         cum = np.cumsum(w) / w.sum()
         cum[-1] = 1.0
         self.cum = cum
         self.steps = [
-            (
-                -math.inf if st.interval.lower is None else float(st.interval.lower),
-                math.inf if st.interval.upper is None else float(st.interval.upper),
-            )
+            (to_float(st.interval.lower, -math.inf), to_float(st.interval.upper, math.inf))
             for st in plan.steps
         ]
-        self.row_len = ((len(self.steps) + 4) // 4) * 4  # 1 + steps, padded
+        self.row_len = 1 + len(self.steps)
 
 
 def _stream(seed: int, row0: int, row_len: int) -> np.random.Generator:
-    """The draws from row ``row0`` on.  The seed must fit Philox's 128-bit
-    key, and the row must be one a batch has (below MAX_PATHS): far past it
-    the 256-bit counter wraps onto earlier rows' draws."""
+    """The draws from row ``row0`` on: PCG64DXSM seeded through
+    ``SeedSequence(seed)`` and advanced past the ``row0 * row_len`` outputs
+    of the earlier rows, one 64-bit output per double.  The seed must lie in
+    [0, 2**128), and the row must be one a batch has (below MAX_PATHS): far
+    past it the stream's 2**128 period wraps onto earlier rows' draws."""
     if not 0 <= seed < 2**128:
         raise InvalidParameterError(f"seed must be in [0, 2**128), got {_brief(seed)}")
     if not 0 <= row0 < MAX_PATHS:
         raise InvalidParameterError(f"path index must be in [0, {MAX_PATHS}), got {_brief(row0)}")
-    bg = np.random.Philox(key=seed)
+    bg = np.random.PCG64DXSM(seed)
     if row0:
-        bg.advance(row0 * row_len // 4)  # advance counts 4-double counter blocks
+        bg.advance(row0 * row_len)
     return np.random.Generator(bg)
+
+
+#: the last plan's float view as (weak reference to the plan, view)
+_view = None
+
+
+def _plan_data(plan: EmbeddingPlan) -> _PlanData:
+    """The float view of ``plan``, built once while it is the last plan
+    simulated, so replaying its paths one by one converts it once."""
+    global _view
+    view = _view
+    if view is not None and view[0]() is plan:
+        return view[1]
+    pd = _PlanData(plan)
+    _view = (weakref.ref(plan), pd)
+    return pd
 
 
 class _Paths(NamedTuple):
@@ -196,12 +229,13 @@ def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
 
 
 def _run_all(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
-    pd = _PlanData(plan)
+    pd = _plan_data(plan)
     paths = _Paths(*(np.empty(n) for _ in _Paths._fields))
+    draws = _stream(seed, 0, pd.row_len)
     done = 0
     while done < n:
         rows = min(_CHUNK, n - done)
-        u = _stream(seed, done, pd.row_len).random((rows, pd.row_len))
+        u = draws.random((rows, pd.row_len))
         for whole, part in zip(paths, _run_chunk(pd, u)):
             whole[done:done + rows] = part
         del u  # free this chunk's draws before the next chunk draws its own
@@ -232,14 +266,14 @@ def _pass(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
 
 
 def sample_path(plan: EmbeddingPlan, seed: int, index: int) -> PathSample:
-    """Realize one path from the independent substream (seed, index).
+    """Realize path ``index`` from its own row of the stream of ``seed``.
 
     Identical to row ``index`` of any batched estimate with the same seed:
     the row replays through the kernel's exit law, recording each step the
     path is inside.  An index outside [0, MAX_PATHS), a row no batch has, is
     refused.
     """
-    pd = _PlanData(plan)
+    pd = _plan_data(plan)
     u = _stream(seed, index, pd.row_len).random((1, pd.row_len))
     start = _starts(pd, u)
     pos, hi, lo = start, start, start

@@ -225,6 +225,25 @@ def test_error_line_and_exit_code(tmp_path, plan_spec, spec, command, code, line
     assert not out.exists()
 
 
+def test_points_equal_as_doubles_verify_exit_3(tmp_path):
+    """Target atoms 1e-20 either side of mu0's atom 1 give an exact plan
+    whose points are all the double 1.0: verify refuses to simulate it
+    instead of reporting a FAIL about paths that never move."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mu0": [[1, 1]], "mu": [[0.99999999999999999999, 0.5], '
+                    '[1.00000000000000000001, 0.5]], "construction": {"type": "azema-yor"}}')
+    plan = tmp_path / "plan.json"
+    assert _cli(["build", "--spec", str(spec), "--out", str(plan)]) == (0, "")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = main(["verify", "--spec", str(spec), "--plan", str(plan)])
+    assert rc == 3 and "verdict" not in out.getvalue()
+    assert err.getvalue() == (
+        "error: plan points 1 and 99999999999999999999... (41 digits) are the same"
+        " double 1.0; the simulator cannot tell them apart\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["analyze", "build", "verify", "diagram"])
 def test_unwritable_out_exit_2(spec_file, tmp_path, capsys, command):
     plan_file = tmp_path / "plan.json"

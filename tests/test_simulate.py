@@ -7,7 +7,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import cwembed.simulate as sim
@@ -87,7 +87,7 @@ class TestSamplePath:
     @pytest.mark.parametrize("index", [-1, -(2**64), sim.MAX_PATHS, 2**256])
     def test_index_outside_batch_rejected(self, index):
         # a batch has no row below 0 or at MAX_PATHS and above for the path
-        # to match; at 2**256 Philox's counter wraps onto row 0
+        # to match; at 2**256 rows the stream's 2**128 period wraps onto row 0
         with pytest.raises(InvalidParameterError, match=_got(index)):
             sample_path(TROUGH_PLAN, 5, index)
 
@@ -97,6 +97,68 @@ class TestSamplePath:
             sample_path(TROUGH_PLAN, seed, 0)
         with pytest.raises(InvalidParameterError, match="seed.*" + _got(seed)):
             empirical_law(TROUGH_PLAN, 10, seed)
+
+    def test_points_equal_as_doubles_rejected(self):
+        # exact target atoms 1e-20 either side of the start are both 1.0
+        tiny = F(1, 10**20)
+        near = AtomicMeasure.from_pairs([(1 - tiny, F(1, 2)), (1 + tiny, F(1, 2))])
+        start = AtomicMeasure.point(1)
+        plan = cw_run(start, ay_sweep(start, near), near, gap_constant(start, near))
+        assert plan.complete
+        with pytest.raises(InvalidParameterError, match=r"^plan points 1 and .* same double 1\.0"):
+            sample_path(plan, 0, 0)
+        with pytest.raises(InvalidParameterError, match="same double"):
+            empirical_law(plan, 10, seed=0)
+
+    @given(
+        seed=st.integers(0, 2**32),
+        kind=st.sampled_from(sorted(PLAN_BUILDERS)),
+        digits=st.integers(14, 40),
+    )
+    @settings(max_examples=40, deadline=None)
+    def test_points_within_an_ulp(self, seed, kind, digits):
+        # a target atom 10**-digits from one of mu0's: the plan is refused
+        # exactly when two of its distinct exact points are one double
+        rng = random.Random(seed)
+        mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
+        near = rng.choice(mu0.positions) + F(1, 10**digits)
+        mu = AtomicMeasure.from_pairs([(near, mu.weights[0]), *mu.atoms[1:]])
+        plan = _simulable(PLAN_BUILDERS[kind](rng, mu0, mu))
+        ends = {x for st_ in plan.steps for x in (st_.interval.lower, st_.interval.upper)}
+        points = (set(plan.mu0.positions) | ends) - {None}
+        if len({float(x) for x in points}) < len(points):
+            with pytest.raises(InvalidParameterError, match="same double"):
+                sample_path(plan, seed, 0)
+        else:
+            sample_path(plan, seed, 0)
+
+    def test_replays_build_plan_view_once(self, monkeypatch):
+        builds = []
+
+        class Counting(sim._PlanData):
+            def __init__(self, plan):
+                builds.append(plan)
+                super().__init__(plan)
+
+        monkeypatch.setattr(sim, "_PlanData", Counting)
+        monkeypatch.setattr(sim, "_view", None)
+        monkeypatch.setattr(sim, "_memo", None)
+        for i in range(50):
+            sample_path(AY_PLAN, 3, i)
+        sim._run_all(AY_PLAN, 100, 3)
+        assert builds == [AY_PLAN]
+        sample_path(TROUGH_PLAN, 3, 0)  # only the last plan's view is kept
+        sample_path(AY_PLAN, 3, 0)
+        assert builds == [AY_PLAN, TROUGH_PLAN, AY_PLAN]
+
+    def test_view_does_not_keep_plan_alive(self, monkeypatch):
+        monkeypatch.setattr(sim, "_view", None)
+        plan = cw_run(D0, [Tangent.make(0, -1)], PM1, 0)
+        sample_path(plan, 1, 0)
+        assert sim._view[0]() is plan
+        del plan
+        gc.collect()
+        assert sim._view[0]() is None
 
 
 def _got(n):
@@ -445,6 +507,30 @@ class TestReferenceKernel:
         sim._run_all(plan, 300, 71)
         moved = sum(rows)
         assert moved == sum(len(sample_path(plan, 71, i).exits) for i in range(300))
+
+
+class TestStreamContract:
+    @given(
+        plan_seed=st.integers(0, 2**32),
+        kind=st.sampled_from(sorted(PLAN_BUILDERS)),
+        seed=st.integers(0, 2**128 - 1),
+        chunk=st.integers(1, 64),
+        n=st.integers(1, 200),
+        picks=st.lists(st.integers(0, 10**6), min_size=1, max_size=5),
+    )
+    @example(plan_seed=0, kind="azema-yor", seed=2**128 - 1, chunk=1, n=3, picks=[0, 1, 2])
+    @settings(max_examples=60, deadline=None)
+    def test_sample_path_is_row_of_batch(self, plan_seed, kind, seed, chunk, n, picks):
+        # the row a path reads does not depend on how the batch is chunked
+        plan = _random_plan(plan_seed, kind)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(sim, "_CHUNK", chunk)
+            paths = sim._run_all(plan, n, seed)
+        for i in {p % n for p in picks}:
+            p = sample_path(plan, seed, i)
+            got = np.array([p.start, p.final, p.max, p.min])
+            want = np.array([paths.start[i], paths.final[i], paths.gmax[i], paths.gmin[i]])
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), i
 
 
 class TestSharedPass:
