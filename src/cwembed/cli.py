@@ -133,7 +133,8 @@ def load_problem_spec(path) -> ProblemSpec:
         _require(abs(m.total_mass - 1) <= MASS_TOL, f"{key} must be a probability measure", key)
     # decimals such as 0.6666666666666666 and 0.3333333333333333 sum to 1
     # only within MASS_TOL, and a pair needs mass exactly 1
-    mu0, mu = (AtomicMeasure(tuple((x, w / m.total_mass) for x, w in m.atoms)) for m in (mu0, mu))
+    mu0, mu = (m if m.total_mass == 1 else
+               AtomicMeasure(tuple((x, w / m.total_mass) for x, w in m.atoms)) for m in (mu0, mu))
 
     con = raw.get("construction", {"type": "azema-yor"})
     _require(isinstance(con, dict) and "type" in con, "construction needs a type", "construction")
@@ -187,16 +188,22 @@ def _end(v, sign) -> str:
     return sign + "inf" if v is None else format(v, ".6g")
 
 
-def _region_text(wire) -> str:
-    """A contact region's wire form as text, such as "[-inf, 0] U {2}"."""
-    parts = ["{%s}" % _end(lo, "-") if lo is not None and lo == hi
-             else "[%s, %s]" % (_end(lo, "-"), _end(hi, "+")) for lo, hi in wire]
+def _region_text(region: minimality.ContactRegion) -> str:
+    """A contact region as text, such as "[-inf, 0] U {2}".  Two neighbouring
+    ends whose 6-digit texts agree are written as their exact p/q."""
+    comps = [(lo,) if lo == hi else (lo, hi) for lo, hi in region.components]
+    ends = [v for c in comps for v in c]
+    text = [format(float(v), "+" if isinstance(v, float) else ".6g") for v in ends]  # +-inf
+    for k in [k for k in range(len(ends) - 1) if text[k] == text[k + 1]]:
+        text[k], text[k + 1] = str(ends[k]), str(ends[k + 1])
+    it = iter(text)
+    parts = ["{%s}" % next(it) if len(c) == 1 else "[%s, %s]" % (next(it), next(it))
+             for c in comps]
     return " U ".join(parts) or "(empty)"
 
 
-def _analyze_payload(spec: ProblemSpec) -> dict:
+def _analyze_payload(spec: ProblemSpec, region: minimality.ContactRegion) -> dict:
     p = pair(spec.mu0, spec.mu)
-    region = minimality.contact_region(spec.mu0, spec.mu)
     bounds = [
         [t, float(minimality.max_law_bound(spec.mu0, spec.mu, t))] for t in spec.thresholds
     ]
@@ -210,7 +217,8 @@ def _analyze_payload(spec: ProblemSpec) -> dict:
 
 def cmd_analyze(args) -> int:
     spec = load_problem_spec(args.spec)
-    payload = _analyze_payload(spec)
+    region = minimality.contact_region(spec.mu0, spec.mu)
+    payload = _analyze_payload(spec, region)
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
@@ -220,7 +228,7 @@ def cmd_analyze(args) -> int:
         lines.append("target potential kinks:   "
                      + ", ".join(f"({x:.6g}, {v:.6g})" for x, v in payload["mu_potential"]))
         lines.append(f"C = {payload['C']:.9g}")
-        lines.append(f"contact set = {_region_text(payload['region'])}")
+        lines.append(f"contact set = {_region_text(region)}")
         lines.append(f"a- = {_end(payload['a_minus'], '-')}   a+ = {_end(payload['a_plus'], '+')}")
         lines.append("max-law bound:")
         for t, b in payload["max_law_bound"]:
@@ -292,7 +300,7 @@ def cmd_verify(args) -> int:
     else:
         lines = [
             f"C = {float(report.C):.9g}",
-            f"contact set = {_region_text(report.region.to_wire())}",
+            f"contact set = {_region_text(report.region)}",
             f"structural check: {'ok' if report.structural_ok else 'FAILED'}",
             f"uniformly integrable: {'yes' if report.ui_embedding else 'no'}",
             f"tv distance = {tv:.6g} (limit {tv_limit:.6g})",

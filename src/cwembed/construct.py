@@ -16,7 +16,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache, cached_property
-from operator import neg
 from typing import Optional, Sequence, Union
 
 from .balayage import Interval
@@ -181,42 +180,46 @@ def _wire_list(data) -> list:
 
 
 def _cut_interval(g: PLConcave, f: Tangent):
-    """Open interval {x : f(x) < g(x)} of the concave difference d = g - f.
-
-    Returns (lo, hi) with None for an infinite endpoint, or None when the set
-    is empty; raises InvalidTangentError when the set is all of R.  Over the
-    breakpoints d rises until g's slope drops to f's and then falls, so
-    bisection finds the first and last breakpoints where d > 0.  Each finite
-    endpoint is the zero of d on the piece where it changes sign.
+    """Open interval {x : f(x) < g(x)} of the concave d = g - f and where it
+    sits: (lo, hi, i, j), None for an infinite end, with g's kinks xs[:i]
+    left of lo and xs[j:] right of hi; None when the set is empty, and
+    InvalidTangentError when it is all of R.  Over the kinks d rises until
+    g's slope drops to f's, then falls: bisecting the slopes finds that
+    peak, and a walk out from it evaluates d at the kinks where d > 0, all
+    of which the cut removes, and at one more on each side.  A finite end is
+    the zero of d on the piece where it changes sign, a kink iff d is 0 there.
     """
-    if g.xs:
-        xs, slopes, values = g.xs, g.slopes, g.values
-    else:  # affine: two rays of one slope meeting at 0
-        xs, slopes, values = (Fraction(0),), g.slopes * 2, (g.evaluate(0),)
-    n = len(xs)
+    xs, slopes, values = g.xs, g.slopes, g.values
+    if not xs:  # affine: two rays of one slope meeting at 0
+        xs, slopes, values = (Fraction(0),), slopes * 2, (g.evaluate(0),)
+    n, s, c = len(xs), f.slope, f.intercept
 
-    @cache  # the bisections and zero() revisit breakpoints
-    def d(i):
-        return values[i] - f(xs[i])
+    def d(k):
+        return values[k] - (s * xs[k] + c)
 
-    def zero(i, k):  # zero of d on piece k (k-th slope), through breakpoint i
-        return xs[i] - d(i) / (slopes[k] - f.slope)
-
-    sl_left, sl_right = slopes[0] - f.slope, slopes[-1] - f.slope
-    pos_left = sl_left < 0 or (sl_left == 0 and d(0) > 0)
-    pos_right = sl_right > 0 or (sl_right == 0 and d(n - 1) > 0)
+    pos_left = slopes[0] < s or (slopes[0] == s and d(0) > 0)
+    pos_right = slopes[-1] > s or (slopes[-1] == s and d(n - 1) > 0)
     if pos_left and pos_right:
         raise InvalidTangentError("tangent strictly below the potential everywhere")
-    peak = min(max(bisect_left(slopes, -f.slope, key=neg) - 1, 0), n - 1)
-    pos = d(peak) > 0
-    if not (pos or pos_left or pos_right):
+    peak = min(max(bisect_left(slopes, True, key=s.__ge__) - 1, 0), n - 1)
+    dp = d(peak)
+    if dp > 0:
+        first, d_first, last, d_last = peak, dp, peak, dp
+        while first and (e := d(first - 1)) > 0:
+            first, d_first = first - 1, e
+        i = first - 1 if first and e == 0 else first
+        while last < n - 1 and (e := d(last + 1)) > 0:
+            last, d_last = last + 1, e
+        j = last + 2 if last < n - 1 and e == 0 else last + 1
+        lo = None if pos_left else xs[first] - d_first / (slopes[first] - s)
+        hi = None if pos_right else xs[last] - d_last / (slopes[last + 1] - s)
+    elif pos_left:  # d falls everywhere: the peak is kink 0
+        lo, hi, i, j = None, xs[0] - dp / (slopes[0] - s), 0, int(dp == 0)
+    elif pos_right:  # d rises everywhere: the peak is the last kink
+        lo, hi, i, j = xs[-1] - dp / (slopes[-1] - s), None, n - (dp == 0), n
+    else:
         return None
-    if pos:
-        first = bisect_left(range(peak), True, key=lambda i: d(i) > 0)
-        last = peak - 1 + bisect_left(range(peak, n), True, key=lambda i: d(i) <= 0)
-    lo = None if pos_left else zero(first, first) if pos else zero(n - 1, n)
-    hi = None if pos_right else zero(last, last + 1) if pos else zero(0, 0)
-    return lo, hi
+    return (lo, hi, i, j) if g.xs else (lo, hi, 0, 0)  # the stand-in at 0 is no kink
 
 
 def _step(g: PLConcave, f: Tangent) -> Optional[Step]:
@@ -224,8 +227,8 @@ def _step(g: PLConcave, f: Tangent) -> Optional[Step]:
     cut = _cut_interval(g, f)
     if cut is None:
         return None
-    lo, hi = cut
-    return Step(f, Interval(lo, hi), g._cut(lo, hi, f.slope, f.intercept))
+    lo, hi, i, j = cut
+    return Step(f, Interval(lo, hi), g._cut(lo, hi, i, j, f.slope, f.intercept))
 
 
 def cw_step(potential: PLConcave, measure: AtomicMeasure, f: Tangent) -> Step:

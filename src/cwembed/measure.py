@@ -280,15 +280,13 @@ class PLConcave:
         x0, y0 = self.anchor
         return PLConcave(self.left_slope, self.breakpoints, (x0, y0 + frac(c)))
 
-    def _cut(self, lo: Optional[Fraction], hi: Optional[Fraction], slope: Fraction,
-             intercept: Fraction) -> "PLConcave":
+    def _cut(self, lo: Optional[Fraction], hi: Optional[Fraction], i: int, j: int,
+             slope: Fraction, intercept: Fraction) -> "PLConcave":
         """min(self, line) for the line x -> slope*x + intercept that lies
-        strictly below self exactly on (lo, hi), None for an infinite end.
-        The result shares self's pieces outside [lo, hi]; the kinks at lo and
-        hi are the only new ones, and the only ones checked."""
+        strictly below self exactly on (lo, hi), None for an infinite end,
+        where self's kinks xs[:i] lie left of lo and xs[j:] right of hi.  It
+        shares self's other pieces; only the kinks at lo and hi are checked."""
         xs, slopes, values, bps = self.xs, self.slopes, self.values, self.breakpoints
-        i = 0 if lo is None else bisect_left(xs, lo)  # xs[:i] lie left of lo
-        j = len(xs) if hi is None else bisect_right(xs, hi)  # xs[j:] right of hi
         kinks = (() if lo is None else ((lo, slopes[i] - slope),)) + (
             () if hi is None else ((hi, slope - slopes[j]),))
         if any(d <= 0 for _, d in kinks):

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cwembed import AtomicMeasure, ay_sweep, cw_run, measure, minimality
+from cwembed import AtomicMeasure, ay_sweep, cli, cw_run, measure, minimality
 from cwembed.diagram import render_plan_svg
 from cwembed.cli import load_problem_spec, main
 
@@ -244,6 +244,30 @@ def test_points_equal_as_doubles_verify_exit_3(tmp_path):
     )
 
 
+def test_analyze_ends_sharing_a_double_are_exact(tmp_path, capsys):
+    """The contact ends 1 -+ 1e-20 are both the double 1.0: analyze writes
+    them as their exact p/q instead of [-inf, 1] U [1, +inf]."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mu0": [[1, 1]], "mu": [[0.99999999999999999999, 0.5], '
+                    '[1.00000000000000000001, 0.5]], "construction": {"type": "azema-yor"}}')
+    assert main(["analyze", "--spec", str(spec)]) == 0
+    assert "contact set = [-inf, 99999999999999999999/100000000000000000000] U " \
+           "[100000000000000000001/100000000000000000000, +inf]\n" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("components, text", [
+    (((-math.inf, Fraction(0)), (Fraction(2), Fraction(2))), "[-inf, 0] U {2}"),
+    (((-math.inf, 1 - Fraction(1, 10**20)), (Fraction(1), Fraction(1)),
+      (1 + Fraction(1, 10**20), math.inf)),
+     "[-inf, 99999999999999999999/100000000000000000000] U {1} U "
+     "[100000000000000000001/100000000000000000000, +inf]"),
+    (((Fraction(1, 3), Fraction(1, 3) + Fraction(1, 10**9)),), "[1/3, 1000000003/3000000000]"),
+    ((), "(empty)"),
+])
+def test_region_text(components, text):
+    assert cli._region_text(minimality.ContactRegion(components)) == text
+
+
 @pytest.mark.parametrize("command", ["analyze", "build", "verify", "diagram"])
 def test_unwritable_out_exit_2(spec_file, tmp_path, capsys, command):
     plan_file = tmp_path / "plan.json"
@@ -303,6 +327,21 @@ def test_float_precision_weights(tmp_path):
         plan = tmp_path / "p.json"
         assert main(["build", "--spec", str(p), "--out", str(plan)]) == 0
         assert main(["verify", "--spec", str(p), "--plan", str(plan)]) == 0
+
+
+@pytest.mark.parametrize("mu, built", [
+    ([[-1, 0.25], [2, 0.75]], 2),  # mass exactly 1: each measure is built once
+    ([[-1, 0.6666666666666666], [2, 0.3333333333333333]], 3),  # mu is rescaled
+])
+def test_spec_measure_rescaled_only_off_mass_1(tmp_path, monkeypatch, mu, built):
+    p = tmp_path / "s.json"
+    p.write_text(json.dumps({"mu0": [[0, 1.0]], "mu": mu}))
+    calls, real = [], AtomicMeasure.__post_init__
+    monkeypatch.setattr(AtomicMeasure, "__post_init__", lambda m: calls.append(m) or real(m))
+    spec = load_problem_spec(p)
+    assert len(calls) == built
+    assert spec.mu0 == AtomicMeasure.point(0) and spec.mu.total_mass == 1
+    assert spec.mu.positions == (-1, 2)
 
 
 def test_decimal_weights_are_exact(tmp_path):

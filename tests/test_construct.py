@@ -1,9 +1,12 @@
+import hashlib
 import json
+import math
 import random
+from bisect import bisect_left, bisect_right
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -126,7 +129,12 @@ def test_cut_interval_matches_scan(seed):
         k = rng.randrange(len(g.xs))
         b = g.values[k] - s * g.xs[k] + F(rng.randint(-2, 1), 8) * rng.randint(0, 1)
         f = Tangent(s, b if rng.random() < 0.5 else F(rng.randint(-60, 20), 8))
-        assert _cut_interval(g, f) == _scan_cut_interval(g, f)
+        cut = _cut_interval(g, f)
+        assert (cut if cut is None else cut[:2]) == _scan_cut_interval(g, f)
+        if cut is not None:  # the splice's indices: kinks xs[:i] < lo, xs[j:] > hi
+            lo, hi, i, j = cut
+            assert i == (0 if lo is None else bisect_left(g.xs, lo))
+            assert j == (len(g.xs) if hi is None else bisect_right(g.xs, hi))
 
 
 class TestCwRun:
@@ -190,6 +198,76 @@ class TestCwRun:
                 m, prev = st.measure_after, c
 
 
+def _scan_splice(g, f):
+    """Reference breakpoints of min(g, f) by a scan: the candidates are g's
+    kinks and the zero of g - f on each of g's pieces, and each keeps the
+    drop of min(g, f) read off the one-sided derivatives there."""
+    xs, s = g.xs, f.slope
+    bounds = [-math.inf, *xs, math.inf]  # piece k spans [bounds[k], bounds[k + 1]]
+    candidates = set(xs)
+    for k, sl in enumerate(g.slopes):
+        if sl != s:
+            x0 = xs[max(k - 1, 0)] if xs else g.anchor[0]  # a point of piece k
+            z = x0 - (g.evaluate(x0) - f(x0)) / (sl - s)
+            if bounds[k] <= z <= bounds[k + 1]:
+                candidates.add(z)
+    out = []
+    for x in sorted(candidates):
+        (gl, gr), gx, fx = g.derivatives(x), g.evaluate(x), f(x)
+        left, right = ((gl, gr) if gx < fx else (s, s) if fx < gx
+                       else (max(gl, s), min(gr, s)))
+        if left > right:
+            out.append((x, left - right))
+    return tuple(out)
+
+
+def _splice_case(seed, kind):
+    """A running potential g and a line f: through a kink with g - f rising
+    right of it (the cut starts there, "lo-kink") or falling left of it
+    ("hi-kink"), of slope +-1 under one ray ("ray"), any line ("line"), or
+    any line of another slope against an affine g ("affine")."""
+    rng = random.Random(seed)
+    eighths = F(rng.randint(1, 8), 8)
+    if kind == "affine":
+        a = F(rng.randint(-4, 4), 4)
+        g = PLConcave(a, (), (F(rng.randint(-8, 8), 4), F(rng.randint(-8, 8), 4)))
+        s = rng.choice([F(k, 4) for k in range(-4, 5) if F(k, 4) != a])
+        return g, Tangent(s, F(rng.randint(-16, 16), 4))
+    m = random_prob_measure(rng, 8, span=4, denom=4)
+    g = m.potential()
+    for _ in range(rng.randint(0, 3)):
+        g = cw_step(g, m, Tangent(F(rng.randint(-4, 4), 4),
+                                  F(rng.randint(-40, 0), 4))).potential_after
+    xs, slopes, values = g.xs, g.slopes, g.values
+    k = rng.randrange(len(xs))
+    if kind == "lo-kink":
+        s = slopes[k + 1] - (slopes[k + 1] + 1) * eighths
+    elif kind == "hi-kink":
+        s = slopes[k] + (1 - slopes[k]) * eighths
+    elif kind == "ray":
+        k = rng.choice([0, -1])
+        s = slopes[k]
+        return g, Tangent(s, values[k] - s * xs[k] - eighths)
+    else:
+        s = F(rng.randint(-4, 4), 4)
+        return g, Tangent(s, F(rng.randint(-60, 20), 8))
+    return g, Tangent(s, values[k] - s * xs[k])
+
+
+@given(seed=st.integers(0, 2**32),
+       kind=st.sampled_from(["affine", "hi-kink", "line", "lo-kink", "ray"]))
+@example(seed=6, kind="lo-kink")
+@settings(max_examples=200, deadline=None)
+def test_splice_matches_scan(seed, kind):
+    # the cut's splice keeps exactly the kinks of min(g, f), with ends on a
+    # kink where g - f is 0 there, on one ray, and on an affine g
+    g, f = _splice_case(seed, kind)
+    new = cw_step(g, None, f).potential_after
+    assert new.breakpoints == _scan_splice(g, f)
+    for x in probe_points(g, new):
+        assert new.evaluate(x) == min(g.evaluate(x), f(x))
+
+
 @given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(PLAN_BUILDERS)))
 @settings(max_examples=60, deadline=None)
 def test_spliced_potential_matches_rebuild(seed, kind):
@@ -211,6 +289,38 @@ def test_spliced_potential_matches_rebuild(seed, kind):
                 assert new.evaluate(x) == g.evaluate(x)
         assert st_.measure_after == balayage(m, iv)
         g, m = new, st_.measure_after
+
+
+def _dyadic_measure(rng, n, span, wbits):
+    """n atoms on the grid (1/16)Z within [-span, span], weights k/2**wbits
+    summing to exactly 1."""
+    xs = sorted(rng.sample(range(-span * 16, span * 16 + 1), n))
+    cuts = sorted(rng.sample(range(1, 1 << wbits), n - 1))
+    ws = [b - a for a, b in zip([0] + cuts, cuts + [1 << wbits])]
+    return AtomicMeasure.from_pairs([(F(x, 16), F(w, 1 << wbits)) for x, w in zip(xs, ws)])
+
+
+#: SHA-256 of the exact steps of the three plans in test_exact_plans_are_pinned
+PLANS_SHA256 = "2410adfc824e25a0e70a470df16e6e36580479597020eaffd2eab16813a085b5"
+
+
+def test_exact_plans_are_pinned():
+    # every step's interval and potential (left slope, breakpoints and the
+    # value at 0) of the Azema-Yor, reversed and Jacka plans of a 64 -> 128
+    # atom pair: a faster cut must leave each plan exact
+    rng = random.Random(64128)
+    mu0, mu = _dyadic_measure(rng, 64, 8, 12), _dyadic_measure(rng, 128, 16, 13)
+    C = gap_constant(mu0, mu)
+    plans = (cw_run(mu0, ay_sweep(mu0, mu), mu, C),
+             cw_run(mu0, reversed_ay_sweep(mu0, mu), mu, C), jacka_plan(mu0, mu))
+    digest = hashlib.sha256()
+    for plan in plans:
+        assert plan.residual == 0 and len(plan.steps) > 64
+        for st_ in plan.steps:
+            g = st_.potential_after
+            digest.update(repr((st_.interval.lower, st_.interval.upper, g.left_slope,
+                                g.breakpoints, g.evaluate(0))).encode())
+    assert digest.hexdigest() == PLANS_SHA256
 
 
 class TestAySweep:
