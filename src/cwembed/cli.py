@@ -73,10 +73,10 @@ def _require(cond, message, fld):
         raise ProblemSpecError(message, field=fld)
 
 
-def _numbers(value, fld) -> list:
+def _numbers(value, fld, parse=lambda v: float(frac(v))) -> list:
     _require(isinstance(value, list), f"expected a list of numbers, got {value!r}", fld)
     with field_errors(fld):
-        return [float(frac(v)) for v in value]
+        return [parse(v) for v in value]
 
 
 def _integer(value, fld) -> int:
@@ -163,8 +163,8 @@ def load_problem_spec(path) -> ProblemSpec:
              "mu0/mu")
     gammas = _numbers(sim.get("gammas", [2 * span, 4 * span, 8 * span]), "simulation.gammas")
     _require(all(g > 0 for g in gammas), "gammas must be positive", "simulation.gammas")
-    thresholds = _numbers(sim.get("thresholds", [float(x) for x in mu.positions]),
-                          "simulation.thresholds")
+    thresholds = _numbers(sim.get("thresholds", list(mu.positions)), "simulation.thresholds",
+                          frac)  # exact: each bound is taken at the threshold itself
     n_paths = _path_count(sim.get("n_paths", 100_000), "simulation.n_paths")
     seed = _seed(sim.get("seed", 0), "simulation.seed")
     return ProblemSpec(mu0, mu, con, n_paths, seed, gammas, thresholds)
@@ -188,24 +188,26 @@ def _end(v, sign) -> str:
     return sign + "inf" if v is None else format(v, ".6g")
 
 
+def _texts(values) -> dict:
+    """Each exact value's 6-digit text (+-inf for a float end), but its exact
+    p/q where two neighbouring values' 6-digit texts agree."""
+    vs = sorted(set(values))
+    text = [format(float(v), "+" if isinstance(v, float) else ".6g") for v in vs]
+    shared = {a for a, b in zip(text, text[1:]) if a == b}
+    return {v: str(v) if t in shared else t for v, t in zip(vs, text)}
+
+
 def _region_text(region: minimality.ContactRegion) -> str:
-    """A contact region as text, such as "[-inf, 0] U {2}".  Two neighbouring
-    ends whose 6-digit texts agree are written as their exact p/q."""
-    comps = [(lo,) if lo == hi else (lo, hi) for lo, hi in region.components]
-    ends = [v for c in comps for v in c]
-    text = [format(float(v), "+" if isinstance(v, float) else ".6g") for v in ends]  # +-inf
-    for k in [k for k in range(len(ends) - 1) if text[k] == text[k + 1]]:
-        text[k], text[k + 1] = str(ends[k]), str(ends[k + 1])
-    it = iter(text)
-    parts = ["{%s}" % next(it) if len(c) == 1 else "[%s, %s]" % (next(it), next(it))
-             for c in comps]
-    return " U ".join(parts) or "(empty)"
+    """A contact region as text, such as "[-inf, 0] U {2}", by ``_texts``."""
+    text = _texts([v for comp in region.components for v in comp])
+    return " U ".join("{%s}" % text[lo] if lo == hi else "[%s, %s]" % (text[lo], text[hi])
+                      for lo, hi in region.components) or "(empty)"
 
 
 def _analyze_payload(spec: ProblemSpec, region: minimality.ContactRegion) -> dict:
     p = pair(spec.mu0, spec.mu)
     bounds = [
-        [t, float(minimality.max_law_bound(spec.mu0, spec.mu, t))] for t in spec.thresholds
+        [float(t), float(minimality.max_law_bound(spec.mu0, spec.mu, t))] for t in spec.thresholds
     ]
     return {
         **minimality.contact_wire(p.C, region),
@@ -231,8 +233,9 @@ def cmd_analyze(args) -> int:
         lines.append(f"contact set = {_region_text(region)}")
         lines.append(f"a- = {_end(payload['a_minus'], '-')}   a+ = {_end(payload['a_plus'], '+')}")
         lines.append("max-law bound:")
-        for t, b in payload["max_law_bound"]:
-            lines.append(f"  P(max >= {t:.6g}) <= {b:.9g}")
+        shown = _texts(spec.thresholds)
+        for t, (_, b) in zip(spec.thresholds, payload["max_law_bound"]):
+            lines.append(f"  P(max >= {shown[t]}) <= {b:.9g}")
         text = "\n".join(lines) + "\n"
     _emit(text, args.out)
     return 0

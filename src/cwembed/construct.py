@@ -331,9 +331,11 @@ def vallois_eps_plan(
     """Alternating tangent construction: lines supporting c from above whose
     crossing with the running potential is pinned at x = eps (positive slope,
     touching c to the left) and at x = 0 (negative slope, touching to the
-    right).  Tests sup|g - c| before each line, its own stop rule, and stops
-    below tolerance or at max_steps; a truncated plan is returned (the exact
-    construction is the eps -> 0 limit and is not built here).
+    right).  It stops at max_steps or once sup|g - c| <= VALUE_TOL, read at
+    g's kinks: g >= c (u0 and each line lie above c), g - c is convex between
+    kinks (g affine, c concave) and falls off past the end ones (g's rays have
+    slope +-1, c's slopes lie in [-1, 1]).  A truncated plan is returned (the
+    exact construction is the eps -> 0 limit and is not built here).
     """
     epsf = frac(eps)
     if epsf <= 0:
@@ -345,7 +347,7 @@ def vallois_eps_plan(
     steps: list[Step] = []
     stalled = 0
     for k in range(max_steps):
-        if sup_difference(g, p.c) <= VALUE_TOL:  # the one stop short of the atoms
+        if max(v - w for v, w in zip(g.values, p.c.values_at(g.xs))) <= VALUE_TOL:
             break
         x0 = epsf if k % 2 == 0 else Fraction(0)
         f = _support_line_through(p.c, x0, g.evaluate(x0), "left" if k % 2 == 0 else "right")

@@ -25,9 +25,17 @@ def _text(x, y, attrs: str, body) -> str:
     return f'<text x="{_fmt(x)}" y="{_fmt(y)}" {attrs}>{body}</text>'
 
 
+def _share(num: int, den: int, lo: Fraction, span: Fraction) -> float:
+    """float((num/den - lo) / span) for den, span > 0, with no gcd taken:
+    int / int rounds correctly, as float(Fraction) does, to the same double."""
+    return ((num * lo.denominator - lo.numerator * den) * span.denominator
+            / (den * lo.denominator * span.numerator))
+
+
 def render_plan_svg(plan: EmbeddingPlan) -> str:
     """The plan's diagram.  Each potential is sampled in one walk over the
-    sorted sample points; the samples set the vertical range and the curve."""
+    sorted sample points; the samples set the vertical range and the curve.
+    Each coordinate is rounded once from exact integers: stable bytes."""
     p = pair(plan.mu0, plan.target)
     u0, c = p.u0, p.ut.shift(-plan.C)
 
@@ -44,12 +52,18 @@ def render_plan_svg(plan: EmbeddingPlan) -> str:
     lo_y, hi_y = min(ys), max(ys)
     pad_y = max((hi_y - lo_y) / 8, Fraction(1, 2))
     lo_y, hi_y = lo_y - pad_y, hi_y + pad_y
+    span_x, span_y = hi_x - lo_x, hi_y - lo_y
 
     def px(x):
-        return _MARGIN + float((x - lo_x) / (hi_x - lo_x)) * (_W - 2 * _MARGIN)
+        return _MARGIN + _share(x.numerator, x.denominator, lo_x, span_x) * (_W - 2 * _MARGIN)
 
-    def py(y):
-        return _H - _MARGIN - float((y - lo_y) / (hi_y - lo_y)) * (_H - 2 * _MARGIN)
+    def py(y, den=1):  # the height y/den, for an int or Fraction y
+        return _H - _MARGIN - (_share(y.numerator, y.denominator * den, lo_y, span_y)
+                               * (_H - 2 * _MARGIN))
+
+    def tangent_py(f, x):  # py(f(x)), with f(x) left unnormalised
+        (s, sd), (b, bd) = f.slope.as_integer_ratio(), f.intercept.as_integer_ratio()
+        return py(s * x.numerator * bd + b * sd * x.denominator, sd * x.denominator * bd)
 
     def polyline(values, color):
         pts = " ".join(f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in zip(sample_xs, values))
@@ -82,7 +96,7 @@ def render_plan_svg(plan: EmbeddingPlan) -> str:
     # tangents, dashed, clipped to the plotting range
     for i, st in enumerate(plan.steps):
         f = st.tangent
-        parts.append(_line(px(lo_x), py(f(lo_x)), px(hi_x), py(f(hi_x)),
+        parts.append(_line(px(lo_x), tangent_py(f, lo_x), px(hi_x), tangent_py(f, hi_x),
                            'stroke="#888" stroke-width="1" stroke-dasharray="6,4"'))
         a = st.interval.lower if st.interval.lower is not None else lo_x
         b = st.interval.upper if st.interval.upper is not None else hi_x

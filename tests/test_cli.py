@@ -255,6 +255,32 @@ def test_analyze_ends_sharing_a_double_are_exact(tmp_path, capsys):
            "[100000000000000000001/100000000000000000000, +inf]\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("thresholds, shown", [
+    (None, [("99999999999999999999/100000000000000000000", "1"),
+            ("100000000000000000001/100000000000000000000", "0.5")]),
+    ("[1.00000000000000000001, 0.5, 0.99999999999999999999, 0.5]",
+     [("100000000000000000001/100000000000000000000", "0.5"), ("0.5", "1"),
+      ("99999999999999999999/100000000000000000000", "1"), ("0.5", "1")]),
+], ids=["default", "given"])
+def test_analyze_thresholds_are_exact(tmp_path, capsys, thresholds, shown):
+    """Thresholds, by default the target atoms 1 -+ 1e-20, are kept exact:
+    the bounds there are 1 and 1/2, not both the bound at the double 1.0.
+    Two distinct thresholds that share a 6-digit text print as exact p/q;
+    JSON writes each threshold as a double."""
+    sim = "" if thresholds is None else f', "simulation": {{"thresholds": {thresholds}}}'
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mu0": [[1, 1]], "mu": [[0.99999999999999999999, 0.5], '
+                    '[1.00000000000000000001, 0.5]], "construction": {"type": "azema-yor"}'
+                    + sim + "}")
+    assert main(["analyze", "--spec", str(spec)]) == 0
+    out = capsys.readouterr().out
+    assert out.endswith("max-law bound:\n" + "".join(f"  P(max >= {t}) <= {b}\n"
+                                                     for t, b in shown))
+    assert main(["analyze", "--spec", str(spec), "--format", "json"]) == 0
+    bounds = json.loads(capsys.readouterr().out)["max_law_bound"]
+    assert bounds == [[float(Fraction(t)), float(b)] for t, b in shown]
+
+
 @pytest.mark.parametrize("components, text", [
     (((-math.inf, Fraction(0)), (Fraction(2), Fraction(2))), "[-inf, 0] U {2}"),
     (((-math.inf, 1 - Fraction(1, 10**20)), (Fraction(1), Fraction(1)),

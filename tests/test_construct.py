@@ -46,6 +46,7 @@ from cwembed import (
 from cwembed import construct
 from cwembed.construct import _cut_interval
 from cwembed.diagram import render_plan_svg
+from cwembed.measure import VALUE_TOL
 from cwembed.minimality import ay_max_law
 
 D0 = AtomicMeasure.point(0)
@@ -321,6 +322,62 @@ def test_exact_plans_are_pinned():
             digest.update(repr((st_.interval.lower, st_.interval.upper, g.left_slope,
                                 g.breakpoints, g.evaluate(0))).encode())
     assert digest.hexdigest() == PLANS_SHA256
+
+
+#: SHA-256 of the exact steps of the two plans in test_vallois_plans_are_pinned
+VALLOIS_SHA256 = "b7438ab479286f4ec158aac55510d453c9b1d2eadac87c973c834afa2d98b1e1"
+
+
+def test_vallois_plans_are_pinned():
+    # the same digest over the Vallois plans of D0 -> PM1 at eps = 1/4 and
+    # 1/16 (82 and 332 steps, 205-digit denominators): the stop test must
+    # end each plan where sup|g - c| first falls to VALUE_TOL
+    digest = hashlib.sha256()
+    for eps, max_steps, n in ((F(1, 4), 200, 82), (F(1, 16), 400, 332)):
+        plan = vallois_eps_plan(D0, PM1, eps, max_steps)
+        assert len(plan.steps) == n and plan.complete
+        for st_ in plan.steps:
+            g = st_.potential_after
+            digest.update(repr((st_.interval.lower, st_.interval.upper, g.left_slope,
+                                g.breakpoints, g.evaluate(0))).encode())
+    assert digest.hexdigest() == VALLOIS_SHA256
+
+
+def _vallois_by_sup(mu0, mu, eps, max_steps):
+    """The steps of vallois_eps_plan, stopped by sup_difference over every
+    kink of both functions instead of the plan's own test."""
+    p = pair(mu0, mu)
+    g, steps, stalled = p.u0, [], 0
+    for k in range(max_steps):
+        if sup_difference(g, p.c) <= VALUE_TOL:
+            break
+        x0, touch = (eps, "left") if k % 2 == 0 else (F(0), "right")
+        st_ = construct._step(g, construct._support_line_through(p.c, x0, g.evaluate(x0), touch))
+        stalled = stalled + 1 if st_ is None else 0
+        if stalled == 2:
+            break
+        if st_ is not None:
+            steps.append(st_)
+            g = st_.potential_after
+    return tuple(steps)
+
+
+@given(seed=st.integers(0, 2**32), worked=st.booleans(),
+       den=st.sampled_from([1, 2, 4, 8, 16]), max_steps=st.integers(0, 40))
+@example(seed=0, worked=True, den=4, max_steps=40)
+@settings(max_examples=60, deadline=None)
+def test_vallois_stop_test_reads_kinks(seed, worked, den, max_steps):
+    # g >= c, g - c is convex between g's kinks and falls off past the end
+    # ones, so its largest gap at g's kinks is sup|g - c| for every running
+    # potential, and the plan stops exactly where the sup test stops
+    rng = random.Random(seed)
+    mu0, mu = (D0, PM1) if worked else (random_prob_measure(rng, 6), random_prob_measure(rng, 6))
+    eps = F(rng.randint(1, 8), den)
+    plan = vallois_eps_plan(mu0, mu, eps, max_steps)
+    p = pair(mu0, mu)
+    for g in [p.u0] + [st_.potential_after for st_ in plan.steps]:
+        assert max(v - w for v, w in zip(g.values, p.c.values_at(g.xs))) == sup_difference(g, p.c)
+    assert plan.steps == _vallois_by_sup(mu0, mu, eps, max_steps)
 
 
 class TestAySweep:

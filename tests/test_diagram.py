@@ -6,9 +6,11 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from cwembed import AtomicMeasure, ay_sweep, cw_run, gap_constant
-from cwembed.diagram import render_plan_svg
+from cwembed.diagram import _share, render_plan_svg
 from test_simulate import NAMED_PLANS
 
 
@@ -41,3 +43,30 @@ GOLDEN_SHA256 = {
 def test_svg_bytes_are_pinned(name):
     svg = render_plan_svg(PLANS[name]).encode()
     assert hashlib.sha256(svg).hexdigest() == GOLDEN_SHA256[name]
+
+
+_INTS = st.integers(0, 1000).flatmap(lambda k: st.integers(-10**k, 10**k))  # of up to 1000 digits
+_COUNTS = _INTS.map(lambda n: abs(n) + 1)
+_RATIONALS = st.one_of(_INTS, st.builds(F, _INTS, _COUNTS))
+_POSITIVE = st.one_of(_COUNTS, st.builds(F, _COUNTS, _COUNTS))
+
+
+def _bits(value):
+    """The double a thunk returns, as hex (so -0.0 and 0.0 differ), or why
+    it has none."""
+    try:
+        return value().hex()
+    except OverflowError:
+        return "overflow"
+
+
+@given(v=_RATIONALS, lo=_RATIONALS, span=_POSITIVE)
+@example(v=3, lo=-1, span=7)
+@example(v=F(1, 3), lo=F(0), span=F(1))
+@example(v=F(-1, 10**400), lo=F(0), span=F(1))  # a negative zero
+@example(v=F(10**400), lo=F(0), span=F(1, 10**400))  # beyond a double
+@settings(max_examples=300, deadline=None)
+def test_share_rounds_as_fraction(v, lo, span):
+    # a coordinate from integers alone is the double float(Fraction) gives
+    assert _bits(lambda: _share(v.numerator, v.denominator, lo, span)) == \
+        _bits(lambda: float((v - lo) / span))
