@@ -78,10 +78,7 @@ def balayage_finite(m: AtomicMeasure, a: Real, b: Real) -> AtomicMeasure:
     """Sweep the mass of [a, b] onto {a, b} with the exit-probability weights
     (b-x)/(b-a) and (x-a)/(b-a); mass outside is untouched.
     """
-    af, bf = frac(a), frac(b)
-    if af >= bf:
-        raise InvalidIntervalError(f"need a < b, got a={af}, b={bf}")
-    return balayage(m, Interval(af, bf))
+    return balayage(m, Interval(frac(a), frac(b)))
 
 
 def balayage_semi(m: AtomicMeasure, a: Real, side: Side) -> AtomicMeasure:

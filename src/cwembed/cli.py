@@ -52,7 +52,7 @@ from .construct import (
 )
 from .diagram import render_plan_svg
 from .errors import EmbedError, IncompletePlanError, ProblemSpecError, field_errors
-from .measure import MASS_TOL, AtomicMeasure, frac, gap_constant, pair
+from .measure import MASS_TOL, AtomicMeasure, Pair, frac, gap_constant, pair
 
 _CONSTRUCTIONS = ("azema-yor", "reversed-azema-yor", "jacka", "vallois", "custom")
 
@@ -183,11 +183,6 @@ def build_plan(spec: ProblemSpec) -> EmbeddingPlan:
     return cw_run(spec.mu0, spec.construction["tangents"], spec.mu, spec.construction["C"])
 
 
-def _end(v, sign) -> str:
-    """A region's end as text: None is the infinity of ``sign``."""
-    return sign + "inf" if v is None else format(v, ".6g")
-
-
 def _texts(values) -> dict:
     """Each exact value's 6-digit text (+-inf for a float end), but its exact
     p/q where two neighbouring values' 6-digit texts agree."""
@@ -204,8 +199,7 @@ def _region_text(region: minimality.ContactRegion) -> str:
                       for lo, hi in region.components) or "(empty)"
 
 
-def _analyze_payload(spec: ProblemSpec, region: minimality.ContactRegion) -> dict:
-    p = pair(spec.mu0, spec.mu)
+def _analyze_payload(spec: ProblemSpec, p: Pair, region: minimality.ContactRegion) -> dict:
     bounds = [
         [float(t), float(minimality.max_law_bound(spec.mu0, spec.mu, t))] for t in spec.thresholds
     ]
@@ -219,19 +213,19 @@ def _analyze_payload(spec: ProblemSpec, region: minimality.ContactRegion) -> dic
 
 def cmd_analyze(args) -> int:
     spec = load_problem_spec(args.spec)
-    region = minimality.contact_region(spec.mu0, spec.mu)
-    payload = _analyze_payload(spec, region)
+    p, region = pair(spec.mu0, spec.mu), minimality.contact_region(spec.mu0, spec.mu)
+    payload = _analyze_payload(spec, p, region)
     if args.format == "json":
         text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
     else:
         lines = []
-        lines.append("starting potential kinks: "
-                     + ", ".join(f"({x:.6g}, {v:.6g})" for x, v in payload["mu0_potential"]))
-        lines.append("target potential kinks:   "
-                     + ", ".join(f"({x:.6g}, {v:.6g})" for x, v in payload["mu_potential"]))
+        for head, f in (("starting potential kinks: ", p.u0), ("target potential kinks:   ", p.ut)):
+            xs, vs = _texts(f.xs), _texts(f.values)
+            lines.append(head + ", ".join(f"({xs[x]}, {vs[v]})" for x, v in zip(f.xs, f.values)))
         lines.append(f"C = {payload['C']:.9g}")
         lines.append(f"contact set = {_region_text(region)}")
-        lines.append(f"a- = {_end(payload['a_minus'], '-')}   a+ = {_end(payload['a_plus'], '+')}")
+        ends = _texts([region.a_minus, region.a_plus])
+        lines.append(f"a- = {ends[region.a_minus]}   a+ = {ends[region.a_plus]}")
         lines.append("max-law bound:")
         shown = _texts(spec.thresholds)
         for t, (_, b) in zip(spec.thresholds, payload["max_law_bound"]):

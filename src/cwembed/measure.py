@@ -315,11 +315,13 @@ class PLConcave:
         return AtomicMeasure(tuple((x, d / 2) for x, d in self.breakpoints))
 
 
-def kink_probes(*fns: PLConcave) -> list[Fraction]:
-    """The union of the breakpoints of ``fns`` plus one point beyond each
-    end, where all of them are affine; [0] when none has a breakpoint."""
-    xs = sorted(set().union(*(f.xs for f in fns)))
-    return [xs[0] - 1, *xs, xs[-1] + 1] if xs else [Fraction(0)]
+def _gaps(f: PLConcave, g: PLConcave) -> tuple[list[Fraction], list[Fraction]]:
+    """The union of the breakpoints of f and g plus one point beyond each
+    end, where both are affine ([0] when neither has a breakpoint), and
+    g - f at each of them, in one walk per function."""
+    xs = sorted(set(f.xs).union(g.xs))
+    probes = [xs[0] - 1, *xs, xs[-1] + 1] if xs else [Fraction(0)]
+    return probes, [b - a for a, b in zip(f.values_at(probes), g.values_at(probes))]
 
 
 def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
@@ -336,8 +338,7 @@ def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
     if f.breakpoints == g.breakpoints:
         x0, y0 = g.anchor
         return abs(f.evaluate(x0) - y0)
-    probes = kink_probes(f, g)
-    return max(abs(a - b) for a, b in zip(f.values_at(probes), g.values_at(probes)))
+    return max(map(abs, _gaps(f, g)[1]))
 
 
 class Pair(NamedTuple):
@@ -365,8 +366,7 @@ def pair(mu0: AtomicMeasure, target: AtomicMeasure) -> Pair:
             f"a pair needs mass exactly 1, got {mu0.total_mass} and {target.total_mass}"
         )
     u0, ut = mu0.potential(), target.potential()
-    probes = kink_probes(u0, ut)
-    gaps = [b - a for a, b in zip(u0.values_at(probes), ut.values_at(probes))]
+    probes, gaps = _gaps(u0, ut)
     C = max(gaps)
     contact: list[tuple[Endpoint, Endpoint]] = []
     for k, x in enumerate([-math.inf, *probes[1:-1], math.inf]):  # ends: the rays

@@ -13,10 +13,10 @@ per path, the start, the final position, the range visited and the range
 visited before the last step in which the path moved; crossings of any level
 strictly before stopping follow from the ranges.  A path moves in a step only
 if it sits strictly inside the step's interval, so each step gathers those
-paths, draws their exit and far extreme, and scatters the results back.  The
-last pass is kept in a one-entry memo, holding its plan weakly, so the law
-and the tail estimates of one plan share it; the last plan's float view is
-kept the same way, so replaying its paths one by one builds it once.
+paths, draws their exit and far extreme, and scatters the results back.  One
+entry keeps the last plan, weakly, with its float view and last pass: its law
+and tail estimates share the pass, its replayed paths build the view once,
+and the old pass goes before a new one allocates, or when another plan comes.
 
 Per-path draw layout (row of ``row_len = 1 + steps`` uniforms, each one
 64-bit output of the stream): column 0 selects the start by inverse CDF, and
@@ -44,7 +44,7 @@ from .errors import IncompletePlanError, InvalidParameterError
 from .measure import VALUE_TOL, AtomicMeasure, _brief
 
 #: most paths one pass simulates: its per-path arrays take 48 bytes a path,
-#: so a pass at the ceiling holds about 0.5 GB
+#: so a pass at the ceiling holds about 0.5 GB, the old pass let go first
 MAX_PATHS = 10**7
 
 #: paths per block of draws: a 32-step plan's block takes 2.4 MB; 2**14
@@ -122,20 +122,21 @@ def _stream(seed: int, row0: int, row_len: int) -> np.random.Generator:
     return np.random.Generator(bg)
 
 
-#: the last plan's float view as (weak reference to the plan, view)
-_view = None
+#: the last plan simulated, as (weak reference to it, its float view, its
+#: last pass as (n, seed, paths) or None); replaced whole, never mutated, so
+#: concurrent callers at worst simulate twice
+_last = None
 
 
-def _plan_data(plan: EmbeddingPlan) -> _PlanData:
-    """The float view of ``plan``, built once while it is the last plan
-    simulated, so replaying its paths one by one converts it once."""
-    global _view
-    view = _view
-    if view is not None and view[0]() is plan:
-        return view[1]
-    pd = _PlanData(plan)
-    _view = (weakref.ref(plan), pd)
-    return pd
+def _entry(plan: EmbeddingPlan) -> tuple:
+    """The entry of ``plan``: the kept one while it is the last plan
+    simulated, so replaying its paths one by one builds its view once, and
+    else a new one with no pass, which lets the old entry go."""
+    global _last
+    last = _last
+    if last is None or last[0]() is not plan:
+        last = _last = (weakref.ref(plan), _PlanData(plan), None)
+    return last
 
 
 class _Paths(NamedTuple):
@@ -229,7 +230,7 @@ def _run_chunk(pd: _PlanData, u: np.ndarray) -> _Paths:
 
 
 def _run_all(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
-    pd = _plan_data(plan)
+    pd = _entry(plan)[1]
     paths = _Paths(*(np.empty(n) for _ in _Paths._fields))
     draws = _stream(seed, 0, pd.row_len)
     done = 0
@@ -245,23 +246,19 @@ def _run_all(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
     return paths
 
 
-#: the last pass as (weak reference to its plan, n, seed, paths); replaced
-#: whole, never mutated, so concurrent callers at worst simulate twice
-_memo = None
-
-
 def _pass(plan: EmbeddingPlan, n: int, seed: int) -> _Paths:
     """The paths of (plan, n, seed), simulated once and shared by every
     estimate that asks for the same triple next."""
-    global _memo
+    global _last
     if not 1 <= n <= MAX_PATHS:
         raise InvalidParameterError(f"n must be in [1, {MAX_PATHS}], got {n}")
-    memo = _memo
-    if memo is not None and memo[0]() is plan and memo[1:3] == (n, seed):
-        return memo[3]
-    _memo = None  # free the old arrays before the new pass allocates
+    ref, pd, kept = _entry(plan)
+    if kept is not None and kept[:2] == (n, seed):
+        return kept[2]
+    del kept  # with the entry replaced, the old pass's arrays go before the new ones
+    _last = (ref, pd, None)
     paths = _run_all(plan, n, seed)
-    _memo = (weakref.ref(plan), n, seed, paths)
+    _last = (ref, pd, (n, seed, paths))
     return paths
 
 
@@ -273,7 +270,7 @@ def sample_path(plan: EmbeddingPlan, seed: int, index: int) -> PathSample:
     path is inside.  An index outside [0, MAX_PATHS), a row no batch has, is
     refused.
     """
-    pd = _plan_data(plan)
+    pd = _entry(plan)[1]
     u = _stream(seed, index, pd.row_len).random((1, pd.row_len))
     start = _starts(pd, u)
     pos, hi, lo = start, start, start

@@ -255,6 +255,23 @@ def test_analyze_ends_sharing_a_double_are_exact(tmp_path, capsys):
            "[100000000000000000001/100000000000000000000, +inf]\n" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("mu0, line", [
+    ("[[1, 1]]", "target potential kinks:   (99999999999999999999/100000000000000000000,"
+                 " -1e-20), (100000000000000000001/100000000000000000000, -1e-20)\n"),
+    ("[[0, 0.5], [2, 0.5]]", "a- = 99999999999999999999/100000000000000000000   "
+                             "a+ = 100000000000000000001/100000000000000000000\n"),
+], ids=["kinks", "ends"])
+def test_analyze_kinks_and_ends_sharing_a_double_are_exact(tmp_path, capsys, mu0, line):
+    """The target kinks 1 -+ 1e-20, and the contact ends there when mu0 is
+    (delta_0 + delta_2)/2, are both the double 1.0: analyze writes them as
+    their exact p/q instead of 1 twice."""
+    spec = tmp_path / "spec.json"
+    spec.write_text('{"mu0": %s, "mu": [[0.99999999999999999999, 0.5], '
+                    '[1.00000000000000000001, 0.5]]}' % mu0)
+    assert main(["analyze", "--spec", str(spec)]) == 0
+    assert line in capsys.readouterr().out.splitlines(keepends=True)
+
+
 @pytest.mark.parametrize("thresholds, shown", [
     (None, [("99999999999999999999/100000000000000000000", "1"),
             ("100000000000000000001/100000000000000000000", "0.5")]),

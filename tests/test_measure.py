@@ -33,7 +33,7 @@ from cwembed import (
     sup_difference,
     vallois_eps_plan,
 )
-from cwembed.measure import _brief, frac, kink_probes, pair
+from cwembed.measure import _brief, frac, pair
 
 D0 = AtomicMeasure.point(0)
 PM1 = AtomicMeasure.from_pairs([(-1, F(1, 2)), (1, F(1, 2))])
@@ -371,7 +371,7 @@ class TestPair:
         mu0, mu = random_prob_measure(rng), random_prob_measure(rng)
         # the reference: fresh potentials and the gap scan over their kinks
         u0, ut = mu0.potential(), mu.potential()
-        C = max(ut.evaluate(x) - u0.evaluate(x) for x in kink_probes(u0, ut))
+        C = max(ut.evaluate(x) - u0.evaluate(x) for x in probe_points(u0, ut))
         assert pair(mu0, mu)[:4] == (u0, ut, C, ut.shift(-C))
         assert pair(mu0, mu).contact == contact_scan(mu0, mu)
         assert gap_constant(mu0, mu) == C

@@ -3,6 +3,7 @@ import json
 import math
 import random
 import re
+import weakref
 from fractions import Fraction as F
 
 import numpy as np
@@ -141,8 +142,7 @@ class TestSamplePath:
                 super().__init__(plan)
 
         monkeypatch.setattr(sim, "_PlanData", Counting)
-        monkeypatch.setattr(sim, "_view", None)
-        monkeypatch.setattr(sim, "_memo", None)
+        monkeypatch.setattr(sim, "_last", None)
         for i in range(50):
             sample_path(AY_PLAN, 3, i)
         sim._run_all(AY_PLAN, 100, 3)
@@ -152,13 +152,13 @@ class TestSamplePath:
         assert builds == [AY_PLAN, TROUGH_PLAN, AY_PLAN]
 
     def test_view_does_not_keep_plan_alive(self, monkeypatch):
-        monkeypatch.setattr(sim, "_view", None)
+        monkeypatch.setattr(sim, "_last", None)
         plan = cw_run(D0, [Tangent.make(0, -1)], PM1, 0)
         sample_path(plan, 1, 0)
-        assert sim._view[0]() is plan
+        assert sim._last[0]() is plan
         del plan
         gc.collect()
-        assert sim._view[0]() is None
+        assert sim._last[0]() is None
 
 
 def _got(n):
@@ -190,10 +190,10 @@ class TestEmpiricalLaw:
 
     def test_determinism_and_chunk_invariance(self, monkeypatch):
         a = empirical_law(TROUGH_PLAN, 30_000, seed=9, thresholds=[0.3])
-        monkeypatch.setattr(sim, "_memo", None)  # simulate again, not reread
+        monkeypatch.setattr(sim, "_last", None)  # simulate again, not reread
         b = empirical_law(TROUGH_PLAN, 30_000, seed=9, thresholds=[0.3])
         assert a == b
-        monkeypatch.setattr(sim, "_memo", None)
+        monkeypatch.setattr(sim, "_last", None)
         monkeypatch.setattr(sim, "_CHUNK", 777)
         c = empirical_law(TROUGH_PLAN, 30_000, seed=9, thresholds=[0.3])
         assert a == c
@@ -223,7 +223,7 @@ class TestEmpiricalLaw:
             raise AssertionError(f"allocated {n} paths")
 
         monkeypatch.setattr(sim, "_run_all", allocate)
-        monkeypatch.setattr(sim, "_memo", None)
+        monkeypatch.setattr(sim, "_last", None)
         region = contact_region(D0, PM1)
         for n in (sim.MAX_PATHS + 1, 10**20):
             with pytest.raises(InvalidParameterError):
@@ -540,11 +540,11 @@ class TestSharedPass:
         run_all = sim._run_all
 
         def counting(plan, n, seed):
-            calls.append((n, seed))  # not the plan: the memo must not be the only holder
+            calls.append((n, seed))  # not the plan: the entry must not be the only holder
             return run_all(plan, n, seed)
 
         monkeypatch.setattr(sim, "_run_all", counting)
-        monkeypatch.setattr(sim, "_memo", None)
+        monkeypatch.setattr(sim, "_last", None)
         return calls
 
     def test_verify_simulates_once(self, passes, tmp_path, capsys):
@@ -579,10 +579,27 @@ class TestSharedPass:
         empirical_law(TROUGH_PLAN, 4_000, seed=5)  # only the last pass is kept
         assert len(passes) == 5
 
+    @pytest.mark.parametrize("plan, seed", [(AY_PLAN, 1), (TROUGH_PLAN, 2)],
+                             ids=["new plan", "new seed"])
+    def test_old_pass_freed_before_new_one(self, monkeypatch, plan, seed):
+        # a new pass allocates only once nothing holds the old one's arrays
+        monkeypatch.setattr(sim, "_last", None)
+        old = weakref.ref(sim._pass(TROUGH_PLAN, 1_000, 1).start)
+        freed = []
+        run_all = sim._run_all
+
+        def watching(*args):
+            freed.append(old() is None)
+            return run_all(*args)
+
+        monkeypatch.setattr(sim, "_run_all", watching)
+        empirical_law(plan, 1_000, seed)
+        assert freed == [True]
+
     def test_memo_does_not_keep_plan_alive(self, passes):
         plan = cw_run(D0, [Tangent.make(0, -1)], PM1, 0)
         empirical_law(plan, 1_000, seed=1)
-        assert sim._memo[0]() is plan
+        assert sim._last[0]() is plan
         del plan
         gc.collect()
-        assert sim._memo[0]() is None
+        assert sim._last[0]() is None
