@@ -6,10 +6,10 @@ is a rational), so identities such as mass conservation, potential round-trips
 and crossing computations hold with zero error.
 
 A pair (mu0, target) fixes the potentials u0, ut, the gap constant C,
-c = ut - C and the contact set where u0 = c; ``pair`` computes them once,
-in one pass over the kinks, keeping the last pair asked for.
-It raises InvalidParameterError unless both masses are exactly 1, so float
-thirds (mass 1 - 2**-54) are rejected, never rounded.  ``frac`` also reads
+c = ut - C and the contact set where u0 = c; ``pair`` computes them in one
+pass over the kinks and keeps the last pair (an equal pair hits, re-keying
+it).  It raises InvalidParameterError unless both masses are exactly 1, so
+float thirds (mass 1 - 2**-54) are rejected, never rounded.  ``frac`` reads
 numbers from outside: it refuses a bool and any magnitude beyond a double,
 and a decimal must not underflow.  MASS_TOL bounds the CLI's rescale of spec
 weights; VALUE_TOL is where the Vallois iteration, the only construction that
@@ -20,10 +20,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, update_wrapper
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -85,6 +85,7 @@ class AtomicMeasure:
     """
 
     atoms: tuple[tuple[Fraction, Fraction], ...]
+    total_mass: Fraction = field(init=False, repr=False, compare=False)  # the weights' sum
 
     def __post_init__(self):
         prev = None
@@ -98,6 +99,7 @@ class AtomicMeasure:
             total += w
         if total > 1 + MASS_TOL:
             raise ValueError(f"total mass {total} exceeds 1")
+        self.__dict__["total_mass"] = total  # the one sum of the weights, kept
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[Real]]) -> "AtomicMeasure":
@@ -109,7 +111,7 @@ class AtomicMeasure:
                 raise ValueError(f"negative weight {w} at {x}")
             if wf == 0:
                 continue
-            merged[xf] = merged.get(xf, Fraction(0)) + wf
+            merged[xf] = merged[xf] + wf if xf in merged else wf
         atoms = tuple(sorted(merged.items()))
         return cls(atoms)
 
@@ -129,17 +131,6 @@ class AtomicMeasure:
     @property
     def weights(self) -> tuple[Fraction, ...]:
         return tuple(w for _, w in self.atoms)
-
-    @cached_property
-    def total_mass(self) -> Fraction:
-        return sum(self.weights, Fraction(0))
-
-    def __hash__(self) -> int:  # every ``pair`` lookup hashes both measures
-        return self._hash
-
-    @cached_property
-    def _hash(self) -> int:
-        return hash(self.atoms)
 
     def is_probability(self) -> bool:
         """Total mass exactly 1."""
@@ -354,13 +345,33 @@ class Pair(NamedTuple):
     contact: tuple[tuple[Endpoint, Endpoint], ...]
 
 
-@lru_cache(maxsize=1)
+class _last_pair:
+    """One-entry memo of ``f(mu0, target)``: a lookup checks identity, then
+    equality, and an equal hit re-keys the entry to the caller's measures.
+    Replaced whole, never mutated: concurrent callers at worst compute twice."""
+
+    def __init__(self, f):
+        update_wrapper(self, f)  # f is ``__wrapped__``; an error it raises is never kept
+        self._last = None
+
+    def __call__(self, mu0: AtomicMeasure, target: AtomicMeasure):
+        last = self._last
+        if last is None or last[0] is not mu0 or last[1] is not target:
+            hit = last is not None and last[0] == mu0 and last[1] == target
+            last = self._last = (mu0, target, last[2] if hit else self.__wrapped__(mu0, target))
+        return last[2]
+
+    def cache_clear(self) -> None:
+        self._last = None
+
+
+@_last_pair
 def pair(mu0: AtomicMeasure, target: AtomicMeasure) -> Pair:
-    """The pair's invariants, kept for the last pair asked for.  One walk per
-    potential evaluates the gap ut - u0 at the kinks and on the two rays: C
-    is its largest value (>= 0), and as the gap is affine between kinks, the
-    contact set is the runs of probes where it equals C.  Raises
-    InvalidParameterError unless both measures have mass exactly 1."""
+    """The pair's invariants, kept for the last pair asked for (an equal pair
+    hits).  One walk per potential evaluates the gap ut - u0 at the kinks and
+    on the two rays: C is its largest value (>= 0), and as the gap is affine
+    between kinks, the contact set is the runs of probes where it equals C.
+    Raises InvalidParameterError unless both measures have mass exactly 1."""
     if not (mu0.is_probability() and target.is_probability()):
         raise InvalidParameterError(
             f"a pair needs mass exactly 1, got {mu0.total_mass} and {target.total_mass}"

@@ -9,14 +9,13 @@ from __future__ import annotations
 import math
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from functools import lru_cache
 from typing import Sequence
 
 from . import simulate
 from .balayage import Interval, _sweep
 from .construct import EmbeddingPlan, ay_sweep, cw_run, tangent_ratio_min
 from .errors import IncompletePlanError
-from .measure import AtomicMeasure, Endpoint, Real, frac, gap_constant, pair
+from .measure import AtomicMeasure, Endpoint, Real, _last_pair, frac, gap_constant, pair
 
 __all__ = [
     "ContactRegion",
@@ -143,10 +142,10 @@ def _max_exceedance_exact(mu0: AtomicMeasure, intervals: Sequence[Interval], x: 
     return mu0.total_mass - sum(mass.values(), Fraction(0))
 
 
-@lru_cache(maxsize=1)
+@_last_pair
 def _ay_intervals(mu0: AtomicMeasure, target: AtomicMeasure) -> tuple[Interval, ...]:
     """The step intervals of the pair's Azema-Yor plan, all the exact max law
-    reads of it, kept for the last pair asked for; its potentials are let go."""
+    reads of it, kept for the last pair as ``pair`` keeps its; potentials go."""
     plan = cw_run(mu0, ay_sweep(mu0, target), target, gap_constant(mu0, target))
     return tuple(st.interval for st in plan.steps)
 

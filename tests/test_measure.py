@@ -1,3 +1,4 @@
+import json
 import math
 import random
 from fractions import Fraction as F
@@ -20,6 +21,7 @@ from conftest import (
     sup_difference_by_probes,
 )
 from cwembed import (
+    MASS_TOL,
     AtomicMeasure,
     InvalidParameterError,
     MalformedPotentialError,
@@ -30,9 +32,11 @@ from cwembed import (
     cw_run,
     cw_step,
     gap_constant,
+    minimality,
     sup_difference,
     vallois_eps_plan,
 )
+from cwembed.cli import load_problem_spec
 from cwembed.measure import _brief, frac, pair
 
 D0 = AtomicMeasure.point(0)
@@ -412,6 +416,62 @@ class TestPair:
             with pytest.raises(InvalidParameterError, match="mass exactly 1"):
                 pair(D0, thirds)
 
+    @pytest.mark.parametrize("memo", [pair, minimality._ay_intervals], ids=["pair", "ay"])
+    def test_equal_pair_hits_and_rekeys(self, memo, monkeypatch):
+        # an equal pair built apart (as each CLI command re-reads its spec)
+        # gets the kept value and becomes the key: its next lookup compares
+        # no measures; a different pair misses
+        computed, real = [], memo.__wrapped__
+        monkeypatch.setattr(memo, "__wrapped__", lambda *a: computed.append(a) or real(*a))
+        memo.cache_clear()
+        first = memo(PM1, D0)
+        twins = tuple(AtomicMeasure.from_wire(m.to_wire()) for m in (PM1, D0))
+        assert twins == (PM1, D0) and twins[0] is not PM1 and twins[1] is not D0
+        assert memo(*twins) is first
+        compared, real_eq = [], AtomicMeasure.__eq__
+        monkeypatch.setattr(AtomicMeasure, "__eq__",
+                            lambda a, b: compared.append(a) or real_eq(a, b))
+        assert memo(*twins) is first and memo(*twins) is first
+        assert compared == []
+        assert memo(ASYM, D0) is not first
+        assert [tuple(map(id, a)) for a in computed] == [(id(PM1), id(D0)), (id(ASYM), id(D0))]
+
+
+class TestTotalMass:
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 5)), max_size=12))
+    @settings(max_examples=80, deadline=None)
+    def test_is_the_sum_of_weights(self, raw):
+        # repeated positions merge and zero weights drop; each way of building
+        # a measure keeps the one sum it checked
+        total = sum(w for _, w in raw)
+        m = AtomicMeasure.from_pairs([(x, F(w, max(total, 1))) for x, w in raw])
+        assert m.total_mass == (1 if total else 0)
+        for built in (m, AtomicMeasure(m.atoms), AtomicMeasure.from_wire(m.to_wire())):
+            assert built.total_mass == sum(built.weights, F(0))
+
+    @given(st.lists(st.integers(1, 9), min_size=1, max_size=8), st.integers(-2, 2))
+    @settings(max_examples=40, deadline=None)
+    def test_spec_rescale(self, tmp_path_factory, ws, off):
+        # spec weights that miss mass 1 by at most MASS_TOL are rescaled to 1
+        weights = [F(w, sum(ws)) + (off * MASS_TOL / 2 if i == 0 else 0)
+                   for i, w in enumerate(ws)]
+        p = tmp_path_factory.mktemp("spec") / "s.json"
+        p.write_text(json.dumps({"mu0": [[0, 1]],
+                                 "mu": [[i, str(w)] for i, w in enumerate(weights)]}))
+        mu = load_problem_spec(p).mu
+        assert mu.total_mass == sum(mu.weights, F(0)) == 1
+
+    @given(measures, st.integers(1, 10**6))
+    @settings(max_examples=40, deadline=None)
+    def test_mass_above_tolerance_refused(self, m, k):
+        far = max(m.positions) + 1
+        edge = AtomicMeasure.from_pairs(m.atoms + ((far, MASS_TOL),))
+        assert edge.total_mass == sum(edge.weights, F(0)) == 1 + MASS_TOL
+        with pytest.raises(ValueError, match="exceeds 1"):
+            AtomicMeasure.from_pairs(m.atoms + ((far, MASS_TOL + F(1, k)),))
+        with pytest.raises(ValueError, match="exceeds 1"):
+            AtomicMeasure(m.atoms + ((far, MASS_TOL + F(1, k)),))
+
 
 class TestFrac:
     @pytest.mark.parametrize("text, value", [
@@ -480,9 +540,10 @@ class TestValidation:
         assert AtomicMeasure.from_wire(m.to_wire()) == m
 
     def test_hash_of_equal_measures(self):
-        # built apart, equal measures hash equal: the hash is the atoms'
+        # built apart, equal measures hash equal: the dataclass hash is of
+        # the atoms alone, total_mass being no compared field
         a = AtomicMeasure.from_pairs([(1, F(1, 4)), (-1, F(3, 4))])
         b = AtomicMeasure.from_wire([["-1", "3/4"], [1, 0.25]])
         assert a is not b and a == b
-        assert hash(a) == hash(b) == hash(a.atoms)
+        assert hash(a) == hash(b) == hash((a.atoms,))
         assert len({a, b, PM1}) == 2
