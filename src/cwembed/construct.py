@@ -15,7 +15,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cached_property
 from typing import Optional, Sequence, Union
 
 from .balayage import Interval
@@ -188,20 +188,34 @@ def _cut_interval(g: PLConcave, f: Tangent):
     peak, and a walk out from it evaluates d at the kinks where d > 0, all
     of which the cut removes, and at one more on each side.  A finite end is
     the zero of d on the piece where it changes sign, a kink iff d is 0 there.
+    Every sign test is on integers: d at a kink is one numerator over a
+    positive denominator, and only a finite end becomes a Fraction.
     """
     xs, slopes, values = g.xs, g.slopes, g.values
     if not xs:  # affine: two rays of one slope meeting at 0
         xs, slopes, values = (Fraction(0),), slopes * 2, (g.evaluate(0),)
-    n, s, c = len(xs), f.slope, f.intercept
+    n, s = len(xs), f.slope
+    (sn, sd), (bn, bd) = s.as_integer_ratio(), f.intercept.as_integer_ratio()
+    a, b, q = sn * bd, bn * sd, sd * bd  # f(x) = (a x + b) / q
 
-    def d(k):
-        return values[k] - (s * xs[k] + c)
+    def d(k):  # d(xs[k]) times q and the denominators of xs[k] and values[k]
+        x, v = xs[k], values[k]
+        return v.numerator * q * x.denominator - v.denominator * (a * x.numerator + b * x.denominator)
 
-    pos_left = slopes[0] < s or (slopes[0] == s and d(0) > 0)
-    pos_right = slopes[-1] > s or (slopes[-1] == s and d(n - 1) > 0)
+    def rise(slope):  # slope - s, times slope.denominator * sd
+        return slope.numerator * sd - sn * slope.denominator
+
+    def zero(k, e, slope):  # xs[k] - d(xs[k]) / (slope - s), from e = d(k)
+        x, v = xs[k], values[k]
+        p = v.denominator * q * rise(slope)
+        return Fraction(x.numerator * p - e * slope.denominator * sd, x.denominator * p)
+
+    left, right = rise(slopes[0]), rise(slopes[-1])
+    pos_left = left < 0 or (left == 0 and d(0) > 0)
+    pos_right = right > 0 or (right == 0 and d(n - 1) > 0)
     if pos_left and pos_right:
         raise InvalidTangentError("tangent strictly below the potential everywhere")
-    peak = min(max(bisect_left(slopes, True, key=s.__ge__) - 1, 0), n - 1)
+    peak = min(max(bisect_left(slopes, True, key=lambda t: rise(t) <= 0) - 1, 0), n - 1)
     dp = d(peak)
     if dp > 0:
         first, d_first, last, d_last = peak, dp, peak, dp
@@ -211,12 +225,12 @@ def _cut_interval(g: PLConcave, f: Tangent):
         while last < n - 1 and (e := d(last + 1)) > 0:
             last, d_last = last + 1, e
         j = last + 2 if last < n - 1 and e == 0 else last + 1
-        lo = None if pos_left else xs[first] - d_first / (slopes[first] - s)
-        hi = None if pos_right else xs[last] - d_last / (slopes[last + 1] - s)
+        lo = None if pos_left else zero(first, d_first, slopes[first])
+        hi = None if pos_right else zero(last, d_last, slopes[last + 1])
     elif pos_left:  # d falls everywhere: the peak is kink 0
-        lo, hi, i, j = None, xs[0] - dp / (slopes[0] - s), 0, int(dp == 0)
+        lo, hi, i, j = None, zero(0, dp, slopes[0]), 0, int(dp == 0)
     elif pos_right:  # d rises everywhere: the peak is the last kink
-        lo, hi, i, j = xs[-1] - dp / (slopes[-1] - s), None, n - (dp == 0), n
+        lo, hi, i, j = zero(n - 1, dp, slopes[-1]), None, n - (dp == 0), n
     else:
         return None
     return (lo, hi, i, j) if g.xs else (lo, hi, 0, 0)  # the stand-in at 0 is no kink
@@ -336,6 +350,12 @@ def vallois_eps_plan(
     kinks (g affine, c concave) and falls off past the end ones (g's rays have
     slope +-1, c's slopes lie in [-1, 1]).  A truncated plan is returned (the
     exact construction is the eps -> 0 limit and is not built here).
+
+    It also stops once two steps in a row after the first leave that residual
+    unchanged, a work bound rather than a proven limit: at a fixed eps the
+    lines can converge to a potential other than c.  The first step may cut
+    nothing while later ones still gain; a later line that cuts nothing
+    repeats the one two steps back, and so does every line after it.
     """
     epsf = frac(eps)
     if epsf <= 0:
@@ -345,16 +365,15 @@ def vallois_eps_plan(
     p = pair(mu0, target)
     g = p.u0
     steps: list[Step] = []
-    stalled = 0
+    last = (None, None)  # the residual before each of the last two steps after the first
     for k in range(max_steps):
-        if max(v - w for v, w in zip(g.values, p.c.values_at(g.xs))) <= VALUE_TOL:
+        residual = max(v - w for v, w in zip(g.values, p.c.values_at(g.xs)))
+        if residual <= VALUE_TOL or last == (residual, residual):
             break
+        last = (last[1], residual) if k else last
         x0 = epsf if k % 2 == 0 else Fraction(0)
         f = _support_line_through(p.c, x0, g.evaluate(x0), "left" if k % 2 == 0 else "right")
         st = _step(g, f)
-        stalled = stalled + 1 if st is None else 0
-        if stalled == 2:  # two lines in a row cut nothing
-            break
         if st is not None:
             steps.append(st)
             g = st.potential_after
@@ -376,8 +395,9 @@ def tangent_ratio_min(u0: PLConcave, c: PLConcave, x: Real):
     and then that value is its minimum.  So over c's kinks below x, r falls
     (strictly, but for that one segment) and then rises strictly: the first
     kink i with r(i) < r(i+1), found by bisection, or else the last kink
-    below x, is the largest kink minimizer.  The kinks of u0 never change
-    the result.  The other candidates are the two limiting directions:
+    below x, is the largest kink minimizer; the bisection compares ratios
+    cross-multiplied on integers, as every x - lambda is positive.  The
+    kinks of u0 never change the result.  The other candidates are the two limiting directions:
     lambda -> -inf (value = left slope of c) and lambda -> x- (defined when
     u0(x) = c(x); value = left derivative of c at x).  Returns
     (min_value, largest_minimizer) where the minimizer is a Fraction, x
@@ -389,15 +409,22 @@ def tangent_ratio_min(u0: PLConcave, c: PLConcave, x: Real):
         raise InvalidParameterError(f"c({xf}) = {cx} lies above u0({xf}) = {A}")
     xs, values = c.xs, c.values
     m = bisect_left(xs, xf)  # c's kinks below x
+    an, ad, xn, xd = A.numerator, A.denominator, xf.numerator, xf.denominator
 
-    @cache  # the bisection and the candidates revisit kinks
-    def r(i):
-        return (A - values[i]) / (xf - xs[i])
+    def r(i):  # the ratio at kink i is p / q * xd / ad, with q > 0 as xs[i] < x
+        lam, v = xs[i], values[i]
+        return ((an * v.denominator - v.numerator * ad) * lam.denominator,
+                v.denominator * (xn * lam.denominator - lam.numerator * xd))
+
+    def rises(k):  # r(k) < r(k + 1)
+        (p, q), (p1, q1) = r(k), r(k + 1)
+        return p * q1 < p1 * q
 
     items: list[tuple[Fraction, Union[Fraction, float]]] = []
     if m:
-        i = bisect_left(range(m - 1), True, key=lambda k: r(k) < r(k + 1))
-        items.append((r(i), xs[i]))
+        i = bisect_left(range(m - 1), True, key=rises)
+        p, q = r(i)
+        items.append((Fraction(p * xd, q * ad), xs[i]))
     items.append((c.slopes[0], float("-inf")))
     if cx == A:
         items.append((c.derivatives(xf)[0], xf))

@@ -74,6 +74,11 @@ def _brief(x) -> str:
     return s if len(s) <= 40 else f"{s[:20]}... ({sum(map(str.isdigit, s))} digits)"
 
 
+def _less(a: Fraction, b: Fraction) -> bool:
+    """a < b for Fractions or ints, cross-multiplied on integers."""
+    return a.numerator * b.denominator < b.numerator * a.denominator
+
+
 @dataclass(frozen=True)
 class AtomicMeasure:
     """Finitely supported sub-probability measure.
@@ -89,31 +94,37 @@ class AtomicMeasure:
 
     def __post_init__(self):
         prev = None
-        total = Fraction(0)
         for x, w in self.atoms:
-            if w <= 0:
+            if w.numerator <= 0:
                 raise ValueError(f"atom weight must be positive, got {w} at {x}")
-            if prev is not None and x <= prev:
+            if prev is not None and not _less(prev, x):
                 raise ValueError("atom positions must be strictly increasing")
             prev = x
-            total += w
+        den = math.lcm(*(w.denominator for _, w in self.atoms))  # the weights' sum, on integers
+        total = Fraction(sum(w.numerator * (den // w.denominator) for _, w in self.atoms), den)
         if total > 1 + MASS_TOL:
             raise ValueError(f"total mass {total} exceeds 1")
         self.__dict__["total_mass"] = total  # the one sum of the weights, kept
 
     @classmethod
     def from_pairs(cls, pairs: Iterable[Sequence[Real]]) -> "AtomicMeasure":
-        """Build a canonical measure: sort, merge coincident positions, drop zeros."""
-        merged: dict[Fraction, Fraction] = {}
+        """Build a canonical measure: sort, merge coincident positions, drop
+        zeros.  Strictly ascending input, as specs and wire forms are, is
+        taken in one pass; only input out of order is merged and sorted."""
+        atoms, ascending = [], True
         for x, w in pairs:
             xf, wf = frac(x), frac(w)
-            if wf < 0:
+            if wf.numerator < 0:
                 raise ValueError(f"negative weight {w} at {x}")
-            if wf == 0:
-                continue
-            merged[xf] = merged[xf] + wf if xf in merged else wf
-        atoms = tuple(sorted(merged.items()))
-        return cls(atoms)
+            if wf.numerator:
+                ascending = ascending and (not atoms or _less(atoms[-1][0], xf))
+                atoms.append((xf, wf))
+        if not ascending:
+            merged: dict[Fraction, Fraction] = {}
+            for xf, wf in atoms:
+                merged[xf] = merged[xf] + wf if xf in merged else wf
+            atoms = sorted(merged.items())
+        return cls(tuple(atoms))
 
     @classmethod
     def point(cls, x: Real, w: Real = 1) -> "AtomicMeasure":
@@ -283,7 +294,9 @@ class PLConcave:
         if any(d <= 0 for _, d in kinks):
             raise ValueError(f"a cut must add kinks of positive drop, got {kinks}")
         kx = tuple(x for x, _ in kinks)
-        kv = tuple(slope * x + intercept for x in kx)
+        (sn, sd), (bn, bd) = slope.as_integer_ratio(), intercept.as_integer_ratio()
+        kv = tuple(Fraction(sn * bd * x.numerator + bn * sd * x.denominator, sd * bd * x.denominator)
+                   for x in kx)
         g = object.__new__(PLConcave)  # the kept pieces are valid already
         g.__dict__.update(left_slope=self.left_slope if lo is not None else slope,
                           breakpoints=bps[:i] + kinks + bps[j:], anchor=(kx[-1], kv[-1]),

@@ -549,6 +549,17 @@ FOUR_SPEC = dict(SPEC, mu0=[[0, 1.0]], mu=[[-2, 0.25], [-1, 0.25], [1, 0.25], [2
                  simulation={"n_paths": 2000, "seed": 1, "gammas": [4]})
 
 
+def test_stalled_vallois_build_stops(tmp_path):
+    # the eps-1/2 Vallois residual on FOUR_SPEC's target is 7/100 from step 7
+    # on: the run stops after 9 steps, whatever max_steps allows
+    p, plan = tmp_path / "s.json", tmp_path / "plan.json"
+    p.write_text(json.dumps(dict(FOUR_SPEC, construction={"type": "vallois", "eps": 0.5,
+                                                          "max_steps": 1e5})))
+    rc, err = _cli(["build", "--spec", str(p), "--out", str(plan)])
+    assert (rc, err) == (3, "warning: plan truncated, residual = 0.07\n")
+    assert len(json.loads(plan.read_text())["steps"]) == 9
+
+
 @pytest.fixture(scope="module")
 def four_files(tmp_path_factory):
     """A spec and the azema-yor plan built from it (several steps)."""

@@ -98,44 +98,67 @@ class TestCwStep:
 
 
 def _scan_cut_interval(g, f):
-    """Reference for construct._cut_interval on a potential with breakpoints
-    that f does not lie below everywhere: d = g - f at every breakpoint, then
-    the zero of d on the piece beyond the first and last positive one."""
-    xs, slopes, ds = g.xs, g.slopes, [v - f(x) for x, v in zip(g.xs, g.values)]
+    """Reference for construct._cut_interval by a Fraction scan: d = g - f at
+    every breakpoint, the zero of d on the piece beyond the first and last
+    positive one, and the kinks left of lo and right of hi.  An affine g is
+    one piece; "everywhere" where f lies below all of it."""
+    xs, slopes, n = g.xs, g.slopes, len(g.xs)
+    if not xs:
+        (x0, y0), rise = g.anchor, g.left_slope - f.slope
+        if not rise:
+            return "everywhere" if y0 > f(x0) else None
+        z = x0 - (y0 - f(x0)) / rise
+        return (z, None, 0, 0) if rise > 0 else (None, z, 0, 0)
+    ds = [v - f(x) for x, v in zip(xs, g.values)]
     zero = lambda i, k: xs[i] - ds[i] / (slopes[k] - f.slope)  # noqa: E731
     sl_left, sl_right = slopes[0] - f.slope, slopes[-1] - f.slope
     pos_left = sl_left < 0 or (sl_left == 0 and ds[0] > 0)
     pos_right = sl_right > 0 or (sl_right == 0 and ds[-1] > 0)
-    pos, n = [i for i, d in enumerate(ds) if d > 0], len(xs)
+    pos = [i for i, d in enumerate(ds) if d > 0]
     if not (pos or pos_left or pos_right):
         return None
     lo = None if pos_left else zero(pos[0], pos[0]) if pos else zero(n - 1, n)
     hi = None if pos_right else zero(pos[-1], pos[-1] + 1) if pos else zero(0, 0)
-    return lo, hi
+    return (lo, hi, 0 if lo is None else bisect_left(xs, lo),
+            n if hi is None else bisect_right(xs, hi))
+
+
+def _big(rng, bits=200):
+    """A Fraction in [-1, 1] whose denominator is about 2**bits, as a
+    Vallois line's slope and intercept have."""
+    den = (1 << bits) + rng.randrange(1, 1 << 20)
+    return F(rng.randint(-den, den), den)
 
 
 @given(seed=st.integers(0, 2**32))
 @settings(max_examples=60, deadline=None)
 def test_cut_interval_matches_scan(seed):
-    # running potentials after a few cuts, and lines of every slope in
-    # [-1, 1], some through a breakpoint (touching or just below it)
+    # running potentials after a few cuts, some by lines with ~2**200
+    # denominators, and an affine potential (no kinks); lines of every slope
+    # in [-1, 1], half of them with large, unequal denominators: through a
+    # kink (d = 0 there), just above or below one, or anywhere
     rng = random.Random(seed)
     m = random_prob_measure(rng, 8, span=4, denom=4)
     g = m.potential()
     for _ in range(rng.randint(0, 3)):
-        st_ = cw_step(g, m, Tangent(F(rng.randint(-4, 4), 4), F(rng.randint(-40, 0), 4)))
-        g, m = st_.potential_after, st_.measure_after
+        big = rng.random() < 0.5
+        s = _big(rng) if big else F(rng.randint(-4, 4), 4)
+        g = cw_step(g, m, Tangent(s, F(rng.randint(-40, 0), 4) + big * _big(rng))).potential_after
+    affine = PLConcave(F(rng.randint(-4, 4), 4), (), (F(rng.randint(-8, 8), 4), _big(rng)))
     for _ in range(30):
-        s = F(rng.randint(-4, 4), 4)
+        big = rng.random() < 0.5
+        s = _big(rng) if big else F(rng.randint(-4, 4), 4)
         k = rng.randrange(len(g.xs))
-        b = g.values[k] - s * g.xs[k] + F(rng.randint(-2, 1), 8) * rng.randint(0, 1)
-        f = Tangent(s, b if rng.random() < 0.5 else F(rng.randint(-60, 20), 8))
-        cut = _cut_interval(g, f)
-        assert (cut if cut is None else cut[:2]) == _scan_cut_interval(g, f)
-        if cut is not None:  # the splice's indices: kinks xs[:i] < lo, xs[j:] > hi
-            lo, hi, i, j = cut
-            assert i == (0 if lo is None else bisect_left(g.xs, lo))
-            assert j == (len(g.xs) if hi is None else bisect_right(g.xs, hi))
+        nudge = F(rng.randint(-2, 1), 8) * (_big(rng) if big else 1) * rng.randint(0, 1)
+        b = g.values[k] - s * g.xs[k] + nudge
+        f = Tangent(s, b if rng.random() < 0.5 else F(rng.randint(-60, 20), 8) + big * _big(rng))
+        for h in (g, affine):
+            expected = _scan_cut_interval(h, f)
+            if expected == "everywhere":
+                with pytest.raises(InvalidTangentError):
+                    _cut_interval(h, f)
+            else:
+                assert _cut_interval(h, f) == expected
 
 
 class TestCwRun:
@@ -343,19 +366,20 @@ def test_vallois_plans_are_pinned():
     assert digest.hexdigest() == VALLOIS_SHA256
 
 
-def _vallois_by_sup(mu0, mu, eps, max_steps):
+def _vallois_by_sup(mu0, mu, eps, max_steps, stall_stop=True):
     """The steps of vallois_eps_plan, stopped by sup_difference over every
-    kink of both functions instead of the plan's own test."""
+    kink of both functions instead of the plan's own test, and by the same
+    stall rule: two steps in a row after the first leave the residual as it
+    was.  ``stall_stop=False`` runs without that rule."""
     p = pair(mu0, mu)
-    g, steps, stalled = p.u0, [], 0
+    g, steps, residuals = p.u0, [], []
     for k in range(max_steps):
-        if sup_difference(g, p.c) <= VALUE_TOL:
+        r = sup_difference(g, p.c)
+        if r <= VALUE_TOL or (stall_stop and k >= 3 and residuals[-2] == residuals[-1] == r):
             break
+        residuals.append(r)
         x0, touch = (eps, "left") if k % 2 == 0 else (F(0), "right")
         st_ = construct._step(g, construct._support_line_through(p.c, x0, g.evaluate(x0), touch))
-        stalled = stalled + 1 if st_ is None else 0
-        if stalled == 2:
-            break
         if st_ is not None:
             steps.append(st_)
             g = st_.potential_after
@@ -378,6 +402,41 @@ def test_vallois_stop_test_reads_kinks(seed, worked, den, max_steps):
     for g in [p.u0] + [st_.potential_after for st_ in plan.steps]:
         assert max(v - w for v, w in zip(g.values, p.c.values_at(g.xs))) == sup_difference(g, p.c)
     assert plan.steps == _vallois_by_sup(mu0, mu, eps, max_steps)
+
+
+@given(seed=st.integers(0, 2**32), den=st.sampled_from([1, 2, 4, 8, 16]),
+       atoms=st.sampled_from([3, 6]), max_steps=st.integers(0, 60))
+@settings(max_examples=60, deadline=None)
+def test_vallois_stall_stop_keeps_the_residual(seed, den, atoms, max_steps):
+    # the stall rule only saves work: a plan it stops has the residual of a
+    # run to max_steps without it
+    rng = random.Random(seed)
+    mu0, mu = random_prob_measure(rng, atoms), random_prob_measure(rng, atoms)
+    eps = F(rng.randint(1, 8), den)
+    plan = vallois_eps_plan(mu0, mu, eps, max_steps)
+    steps = _vallois_by_sup(mu0, mu, eps, max_steps, stall_stop=False)
+    g = steps[-1].potential_after if steps else pair(mu0, mu).u0
+    assert plan.residual == sup_difference(g, pair(mu0, mu).c)
+    assert plan.steps == steps[:len(plan.steps)]
+
+
+def test_vallois_stall_stops_four_atom_run():
+    # eps = 1/2 on FOUR: the residual is 7/100 from step 7 on, each later
+    # step moving mass between the same two intervals; two flat steps stop it
+    plan = vallois_eps_plan(D0, FOUR, F(1, 2), 10**5)
+    assert len(plan.steps) == 9 and plan.residual == F(7, 100)
+    steps = _vallois_by_sup(D0, FOUR, F(1, 2), 100, stall_stop=False)
+    assert len(steps) == 100 and plan.steps == steps[:9]
+    assert sup_difference(steps[-1].potential_after, pair(D0, FOUR).c) == F(7, 100)
+
+
+def test_vallois_stall_skips_first_step():
+    # delta_3/8 -> delta_15/8 at eps = 3/16: the first line cuts nothing and
+    # the second leaves the residual at 3, yet the third lowers it
+    mu0, mu, eps = AtomicMeasure.point(F(3, 8)), AtomicMeasure.point(F(15, 8)), F(3, 16)
+    plan = vallois_eps_plan(mu0, mu, eps, 12)
+    assert plan.steps == _vallois_by_sup(mu0, mu, eps, 12, stall_stop=False)
+    assert len(plan.steps) == 11 and plan.residual < 3
 
 
 class TestAySweep:

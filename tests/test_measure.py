@@ -473,6 +473,55 @@ class TestTotalMass:
             AtomicMeasure(m.atoms + ((far, MASS_TOL + F(1, k)),))
 
 
+def _dict_merge(pairs):
+    """Reference for from_pairs: merge each position's weights in a dict,
+    drop zeros and sort."""
+    merged = {}
+    for x, w in pairs:
+        merged[F(x)] = merged.get(F(x), 0) + F(w)
+    return tuple(sorted((x, w) for x, w in merged.items() if w))
+
+
+class TestFromPairs:
+    @given(st.lists(st.tuples(st.integers(-6, 6), st.integers(0, 5)), max_size=12), st.randoms())
+    @settings(max_examples=80, deadline=None)
+    def test_matches_dict_merge(self, raw, rnd):
+        # shuffled, duplicated and zero-weight input, and the same input
+        # strictly ascending as specs and wire forms are
+        total = max(sum(w for _, w in raw), 1)
+        pairs = [(F(x, 3), F(w, total)) for x, w in raw]
+        shuffled = rnd.sample(pairs, len(pairs))
+        ascending = list(_dict_merge(pairs))
+        for ps in (pairs, shuffled, pairs + [(x, 0) for x, _ in pairs], ascending):
+            m = AtomicMeasure.from_pairs(ps)
+            assert m.atoms == _dict_merge(ps)
+            assert m == AtomicMeasure(_dict_merge(ps))
+            assert m.total_mass == sum(m.weights, F(0))
+
+    @pytest.mark.parametrize("pairs, message", [
+        ([(0, F(1, 2)), (1, F(-1, 4))], "negative weight -1/4 at 1"),
+        ([(1, F(1, 2)), (0, -0.25)], "negative weight -0.25 at 0"),
+        ([(0, F(1, 2)), (1, F(1, 2)), (2, F(1, 10**11))], "total mass 100000000001/100000000000 exceeds 1"),
+        ([(2, F(1, 2)), (1, F(1, 2)), (2, F(1, 3))], "total mass 4/3 exceeds 1"),
+    ])
+    def test_errors(self, pairs, message):
+        with pytest.raises(ValueError) as info:
+            AtomicMeasure.from_pairs(pairs)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("atoms, message", [
+        (((F(1), F(1, 2)), (F(1), F(1, 2))), "atom positions must be strictly increasing"),
+        (((F(1), F(1, 2)), (F(0), F(1, 2))), "atom positions must be strictly increasing"),
+        (((F(0), F(0)),), "atom weight must be positive, got 0 at 0"),
+        (((F(0), F(-1, 2)),), "atom weight must be positive, got -1/2 at 0"),
+        (((F(0), F(1, 2)), (F(1), F(3, 5))), "total mass 11/10 exceeds 1"),
+    ])
+    def test_direct_construction_errors(self, atoms, message):
+        with pytest.raises(ValueError) as info:
+            AtomicMeasure(atoms)
+        assert str(info.value) == message
+
+
 class TestFrac:
     @pytest.mark.parametrize("text, value", [
         ("0.3", F(3, 10)), ("1e5", F(10**5)), ("-2.5E-3", F(-1, 400)), ("0e999999999", F(0)),

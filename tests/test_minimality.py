@@ -21,11 +21,13 @@ from cwembed import (
     AtomicMeasure,
     EmbeddingPlan,
     IncompletePlanError,
+    Interval,
     InvalidParameterError,
     PLConcave,
     Tangent,
     ay_max_law,
     ay_sweep,
+    balayage,
     barycentre_phi,
     contact_region,
     cw_run,
@@ -214,15 +216,26 @@ def _ratio_cases(rng, u0, c, x):
 @given(seed=st.integers(0, 2**32))
 @settings(max_examples=80, deadline=None)
 def test_tangent_ratio_min_matches_scan(seed):
-    # the bisection against the ratio at every kink, on random pairs and on
-    # point-mass targets, at thresholds on, between and beyond the kinks
+    # the bisection against the ratio at every kink, on random pairs, on
+    # point-mass targets and on swept targets (mu0 balayaged on an interval,
+    # in contact with mu0 off it), at thresholds on, between and beyond the
+    # kinks, and at and inside the contact set's components
     rng = random.Random(seed)
     mu0 = random_prob_measure(rng, 8, span=4, denom=4)
-    mu = (AtomicMeasure.point(mu0.mean()) if rng.random() < 0.25
-          else random_prob_measure(rng, 8, span=4, denom=4))
+    kind = rng.random()
+    if kind < 0.25:
+        mu = AtomicMeasure.point(mu0.mean())
+    elif kind < 0.5:
+        a, b = sorted(rng.sample(range(-20, 21), 2))
+        mu = balayage(mu0, Interval(F(a, 4), F(b, 4)))
+    else:
+        mu = random_prob_measure(rng, 8, span=4, denom=4)
     u0, c = mu0.potential(), mu.potential().shift(-gap_constant(mu0, mu))
     probes = probe_points(u0, c)
-    xs = probes + [(a + b) / 2 for a, b in zip(probes, probes[1:])] + [probes[0] - 3]
+    contact = pair(mu0, mu).contact
+    xs = (probes + [(a + b) / 2 for a, b in zip(probes, probes[1:])] + [probes[0] - 3]
+          + [e for ends in contact for e in ends if math.isfinite(e)]
+          + [(lo + hi) / 2 for lo, hi in contact if math.isfinite(lo) and math.isfinite(hi)])
     for x in xs:
         for cx in _ratio_cases(rng, u0, c, x):
             assert cx.evaluate(x) <= u0.evaluate(x)
