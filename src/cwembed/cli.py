@@ -74,7 +74,8 @@ def _require(cond, message, fld):
 
 
 def _numbers(value, fld, parse=lambda v: float(frac(v))) -> list:
-    _require(isinstance(value, list), f"expected a list of numbers, got {value!r}", fld)
+    if not isinstance(value, list):
+        raise ProblemSpecError(f"expected a list of numbers, got {value!r}", field=fld)
     with field_errors(fld):
         return [parse(v) for v in value]
 

@@ -182,18 +182,17 @@ def _wire_list(data) -> list:
 def _cut_interval(g: PLConcave, f: Tangent):
     """Open interval {x : f(x) < g(x)} of the concave d = g - f and where it
     sits: (lo, hi, i, j), None for an infinite end, with g's kinks xs[:i]
-    left of lo and xs[j:] right of hi; None when the set is empty, and
-    InvalidTangentError when it is all of R.  Over the kinks d rises until
-    g's slope drops to f's, then falls: bisecting the slopes finds that
-    peak, and a walk out from it evaluates d at the kinks where d > 0, all
-    of which the cut removes, and at one more on each side.  A finite end is
-    the zero of d on the piece where it changes sign, a kink iff d is 0 there.
+    left of lo and xs[j:] right of hi (an affine g's kink at 0, of drop 0,
+    goes: i, j = 0, 1); None when the set is empty, and InvalidTangentError
+    when it is all of R.  Over the kinks d rises until g's slope drops to
+    f's, then falls: bisecting the slopes finds that peak, and a walk out
+    from it evaluates d at the kinks where d > 0, all of which the cut
+    removes, and at one more on each side.  A finite end is the zero of d
+    on the piece where it changes sign, a kink iff d is 0 there.
     Every sign test is on integers: d at a kink is one numerator over a
     positive denominator, and only a finite end becomes a Fraction.
     """
     xs, slopes, values = g.xs, g.slopes, g.values
-    if not xs:  # affine: two rays of one slope meeting at 0
-        xs, slopes, values = (Fraction(0),), slopes * 2, (g.evaluate(0),)
     n, s = len(xs), f.slope
     (sn, sd), (bn, bd) = s.as_integer_ratio(), f.intercept.as_integer_ratio()
     a, b, q = sn * bd, bn * sd, sd * bd  # f(x) = (a x + b) / q
@@ -233,7 +232,7 @@ def _cut_interval(g: PLConcave, f: Tangent):
         lo, hi, i, j = zero(n - 1, dp, slopes[-1]), None, n - (dp == 0), n
     else:
         return None
-    return (lo, hi, i, j) if g.xs else (lo, hi, 0, 0)  # the stand-in at 0 is no kink
+    return (lo, hi, i, j) if slopes[0] != slopes[-1] else (lo, hi, 0, 1)
 
 
 def _step(g: PLConcave, f: Tangent) -> Optional[Step]:

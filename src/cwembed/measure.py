@@ -5,15 +5,21 @@ All arithmetic is exact: positions, weights and function values are stored as
 is a rational), so identities such as mass conservation, potential round-trips
 and crossing computations hold with zero error.
 
+A potential is a ``PLConcave``, one table of its kinks, the n + 1 slopes
+around them and its values there (an affine function is the one kink at 0,
+of drop 0), so ``==`` is equality of functions.  The constructor checks a
+table; the potentials, shifts and cuts built here skip that (``_table``).
+
 A pair (mu0, target) fixes the potentials u0, ut, the gap constant C,
 c = ut - C and the contact set where u0 = c; ``pair`` computes them in one
 pass over the kinks and keeps the last pair (an equal pair hits, re-keying
 it).  It raises InvalidParameterError unless both masses are exactly 1, so
 float thirds (mass 1 - 2**-54) are rejected, never rounded.  ``frac`` reads
 numbers from outside: it refuses a bool and any magnitude beyond a double,
-and a decimal must not underflow.  MASS_TOL bounds the CLI's rescale of spec
-weights; VALUE_TOL is where the Vallois iteration, the only construction that
-ends off the target atoms, may stop: a plan's ``complete`` and ``close_to``.
+and a decimal must not underflow, nor need over 4300 digits as p/q.
+MASS_TOL bounds the CLI's rescale of spec weights; VALUE_TOL is where the
+Vallois iteration, the only construction that ends off the target atoms, may
+stop: a plan's ``complete`` and ``close_to``.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from decimal import Decimal
 from fractions import Fraction
-from functools import cached_property, update_wrapper
+from functools import update_wrapper
 from itertools import accumulate
 from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
@@ -37,13 +43,15 @@ Endpoint = Union[Fraction, float]  # float only for +-inf
 MASS_TOL = Fraction(1, 10**12)
 #: residual at which a Vallois plan, the only one off the target atoms, is done
 VALUE_TOL = Fraction(1, 10**9)
+_TOO_LONG = 10**4300  # the least int of 4301 digits, past str's int-string limit
 
 
 def frac(x: Union[Real, str]) -> Fraction:
     """Exact conversion to Fraction (floats convert without rounding).  A
     bool is refused, and so is a magnitude beyond a double's range; a string
     is "p/q" or a decimal that is 0 or within that range, checked before any
-    power of ten is built.  A "p/q" may underflow a double."""
+    power of ten is built, and whose p/q has at most 4300 digits each, so
+    ``str`` can write it.  A "p/q" may underflow a double."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -52,7 +60,10 @@ def frac(x: Union[Real, str]) -> Fraction:
         approx, exact = float(x), Decimal(x)
         if not math.isfinite(approx) or (approx == 0) != exact.is_zero():
             raise ValueError(f"number {_brief(x)} is out of range")
-        return Fraction(exact)
+        q = Fraction(exact)
+        if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+            raise ValueError(f"number {_brief(x)} has a p/q of over 4300 digits")
+        return q
     q = Fraction(x)
     try:
         float(q)
@@ -158,11 +169,12 @@ class AtomicMeasure:
     def potential(self) -> "PLConcave":
         """The compensated potential x -> -sum_i w_i |x - x_i|."""
         if not self.atoms:
-            return PLConcave(Fraction(0), (), (Fraction(0), Fraction(0)))
-        x0 = self.atoms[0][0]
-        v0 = -sum((w * abs(x0 - x) for x, w in self.atoms), Fraction(0))
-        bps = tuple((x, 2 * w) for x, w in self.atoms)
-        return PLConcave(self.total_mass, bps, (x0, v0))
+            return _table((Fraction(0),), (Fraction(0),) * 2, (Fraction(0),))
+        xs = self.positions
+        slopes = tuple(accumulate((-2 * w for _, w in self.atoms), initial=self.total_mass))
+        v0 = -sum((w * (x - xs[0]) for x, w in self.atoms), Fraction(0))
+        return _table(xs, slopes, tuple(accumulate(
+            (s * (b - a) for s, a, b in zip(slopes[1:], xs, xs[1:])), initial=v0)))
 
     def close_to(self, other: "AtomicMeasure", tol: Fraction = VALUE_TOL) -> bool:
         """Atom-by-atom agreement of positions and weights within tol, by
@@ -189,67 +201,53 @@ class AtomicMeasure:
 
 @dataclass(frozen=True)
 class PLConcave:
-    """Piecewise-linear concave function.
+    """Piecewise-linear concave function, stored as one kink table.
 
-    Stored as the slope at -inf, breakpoints (x, slope_drop) with strictly
-    increasing x and strictly positive drops, and one (x, value) anchor fixing
-    the additive level.  The potential of a measure of mass m has left slope
-    +m, right slope -m and a drop of 2w at each atom.
+    ``xs`` holds the kinks, strictly increasing; ``slopes`` the n + 1 segment
+    slopes, slopes[i] left of kink i and slopes[-1] right of the last; and
+    ``values`` the function at each kink.  Each drop slopes[i] - slopes[i + 1]
+    is positive, except in an affine function: the one kink at 0, of drop 0.
+    So a function has one table.  The potential of a measure of mass m has
+    slopes from +m down to -m and a drop of 2w at each atom.
     """
 
-    left_slope: Fraction
-    breakpoints: tuple[tuple[Fraction, Fraction], ...]
-    anchor: tuple[Fraction, Fraction]
+    xs: tuple[Fraction, ...]
+    slopes: tuple[Fraction, ...]
+    values: tuple[Fraction, ...]
 
     def __post_init__(self):
-        prev = None
-        for x, d in self.breakpoints:
-            if d <= 0:
-                raise ValueError(f"slope drop must be positive, got {d} at {x}")
-            if prev is not None and x <= prev:
-                raise ValueError("breakpoints must be strictly increasing")
-            prev = x
+        xs, slopes, values = self.xs, self.slopes, self.values
+        if not len(xs) == len(values) == len(slopes) - 1 > 0:
+            raise ValueError("need n >= 1 kinks, n values and n + 1 slopes")
+        for k, x in enumerate(xs):
+            if slopes[k] < slopes[k + 1] or slopes[k] == slopes[k + 1] and xs != (0,):
+                raise ValueError(f"slope drop at {x} must be positive")
+            if k and x <= xs[k - 1]:
+                raise ValueError("kinks must be strictly increasing")
+            if k and values[k] != values[k - 1] + slopes[k] * (x - xs[k - 1]):
+                raise ValueError(f"value {values[k]} at {x} does not follow the slopes")
 
     # -- geometry ----------------------------------------------------------
 
-    @cached_property
-    def xs(self) -> tuple[Fraction, ...]:
-        return tuple(x for x, _ in self.breakpoints)
-
-    @cached_property
-    def slopes(self) -> tuple[Fraction, ...]:
-        """Segment slopes; slopes[i] applies left of breakpoint i,
-        slopes[-1] right of the last breakpoint."""
-        out = [self.left_slope]
-        for _, d in self.breakpoints:
-            out.append(out[-1] - d)
-        return tuple(out)
+    @property
+    def left_slope(self) -> Fraction:
+        return self.slopes[0]
 
     @property
     def right_slope(self) -> Fraction:
         return self.slopes[-1]
 
-    @cached_property
-    def values(self) -> tuple[Fraction, ...]:
-        """Function values at the breakpoints."""
-        if not self.breakpoints:
-            return ()
-        (x0, y0), xs, slopes = self.anchor, self.xs, self.slopes
-        rise = list(accumulate((s * (b - a) for s, a, b in zip(slopes[1:], xs, xs[1:])),
-                               initial=Fraction(0)))  # the values less values[0]
-        k = bisect_right(xs, x0)  # the anchor lies on segment k
-        r = max(k - 1, 0)
-        level = y0 - rise[r] - slopes[k] * (x0 - xs[r])
-        return tuple(v + level for v in rise)
+    @property
+    def breakpoints(self) -> tuple[tuple[Fraction, Fraction], ...]:
+        """(x, slope drop) at each kink of positive drop: none when affine."""
+        slopes = self.slopes
+        return tuple((x, a - b) for x, a, b in zip(self.xs, slopes, slopes[1:]) if a != b)
 
     def __call__(self, x: Real) -> Fraction:
         return self.evaluate(x)
 
     def evaluate(self, x: Real) -> Fraction:
         xf = frac(x)
-        if not self.breakpoints:
-            x0, y0 = self.anchor
-            return y0 + self.left_slope * (xf - x0)
         j = bisect_right(self.xs, xf)  # x lies on segment j
         r = max(j - 1, 0)
         return self.values[r] + self.slopes[j] * (xf - self.xs[r])
@@ -257,10 +255,8 @@ class PLConcave:
     def values_at(self, pts: Sequence[Fraction]) -> list[Fraction]:
         """``[self.evaluate(x) for x in pts]`` for ascending Fractions ``pts``
         (repeats allowed), in one walk over the kinks: a kink's value is
-        read from ``values``, any other point costs one multiply-add.  An
-        affine function walks from its anchor, as from a kink of drop 0."""
-        xs, slopes, values = ((self.xs, self.slopes, self.values) if self.breakpoints else
-                              ((self.anchor[0],), self.slopes * 2, (self.anchor[1],)))
+        read from ``values``, any other point costs one multiply-add."""
+        xs, slopes, values = self.xs, self.slopes, self.values
         out, j, n = [], 0, len(xs)
         for x in pts:
             while j < n and xs[j] <= x:
@@ -272,15 +268,12 @@ class PLConcave:
     def derivatives(self, x: Real) -> tuple[Fraction, Fraction]:
         """(left, right) derivatives at x."""
         xf = frac(x)
-        j = bisect_left(self.xs, xf)
-        if j < len(self.xs) and self.xs[j] == xf:
-            return self.slopes[j], self.slopes[j + 1]
-        return self.slopes[j], self.slopes[j]
+        return self.slopes[bisect_left(self.xs, xf)], self.slopes[bisect_right(self.xs, xf)]
 
     def shift(self, c: Real) -> "PLConcave":
-        """Add the constant c (O(1): anchor update only)."""
-        x0, y0 = self.anchor
-        return PLConcave(self.left_slope, self.breakpoints, (x0, y0 + frac(c)))
+        """Add the constant c: one addition per kink value."""
+        cf = frac(c)
+        return _table(self.xs, self.slopes, tuple(v + cf for v in self.values))
 
     def _cut(self, lo: Optional[Fraction], hi: Optional[Fraction], i: int, j: int,
              slope: Fraction, intercept: Fraction) -> "PLConcave":
@@ -288,27 +281,22 @@ class PLConcave:
         strictly below self exactly on (lo, hi), None for an infinite end,
         where self's kinks xs[:i] lie left of lo and xs[j:] right of hi.  It
         shares self's other pieces; only the kinks at lo and hi are checked."""
-        xs, slopes, values, bps = self.xs, self.slopes, self.values, self.breakpoints
-        kinks = (() if lo is None else ((lo, slopes[i] - slope),)) + (
-            () if hi is None else ((hi, slope - slopes[j]),))
-        if any(d <= 0 for _, d in kinks):
-            raise ValueError(f"a cut must add kinks of positive drop, got {kinks}")
-        kx = tuple(x for x, _ in kinks)
+        xs, slopes, values = self.xs, self.slopes, self.values
+        if (lo is not None and slopes[i] <= slope) or (hi is not None and slope <= slopes[j]):
+            raise ValueError(f"a cut must add kinks of positive drop, got slope {slope}")
+        kx = (() if lo is None else (lo,)) + (() if hi is None else (hi,))
         (sn, sd), (bn, bd) = slope.as_integer_ratio(), intercept.as_integer_ratio()
         kv = tuple(Fraction(sn * bd * x.numerator + bn * sd * x.denominator, sd * bd * x.denominator)
                    for x in kx)
-        g = object.__new__(PLConcave)  # the kept pieces are valid already
-        g.__dict__.update(left_slope=self.left_slope if lo is not None else slope,
-                          breakpoints=bps[:i] + kinks + bps[j:], anchor=(kx[-1], kv[-1]),
-                          xs=xs[:i] + kx + xs[j:], values=values[:i] + kv + values[j:],
-                          slopes=(slopes[:i + 1] if lo is not None else ()) + (slope,)
-                          + (slopes[j:] if hi is not None else ()))
-        return g
+        return _table(xs[:i] + kx + xs[j:],
+                      (slopes[:i + 1] if lo is not None else ()) + (slope,)
+                      + (slopes[j:] if hi is not None else ()),
+                      values[:i] + kv + values[j:])
 
     # -- inverse -----------------------------------------------------------
 
     def measure(self) -> AtomicMeasure:
-        """The measure whose potential this is, up to the additive anchor.
+        """The measure whose potential this is, up to an additive constant.
 
         Requires a measure-type slope profile: left slope +m, right slope -m.
         """
@@ -319,12 +307,19 @@ class PLConcave:
         return AtomicMeasure(tuple((x, d / 2) for x, d in self.breakpoints))
 
 
+def _table(xs: tuple, slopes: tuple, values: tuple) -> PLConcave:
+    """A table built here, valid by construction: the one way past the checks."""
+    f = object.__new__(PLConcave)
+    f.__dict__.update(xs=xs, slopes=slopes, values=values)
+    return f
+
+
 def _gaps(f: PLConcave, g: PLConcave) -> tuple[list[Fraction], list[Fraction]]:
-    """The union of the breakpoints of f and g plus one point beyond each
-    end, where both are affine ([0] when neither has a breakpoint), and
-    g - f at each of them, in one walk per function."""
+    """The union of the kinks of f and g plus one point beyond each end,
+    where both are affine, and g - f at each of them, in one walk per
+    function."""
     xs = sorted(set(f.xs).union(g.xs))
-    probes = [xs[0] - 1, *xs, xs[-1] + 1] if xs else [Fraction(0)]
+    probes = [xs[0] - 1, *xs, xs[-1] + 1]
     return probes, [b - a for a, b in zip(f.values_at(probes), g.values_at(probes))]
 
 
@@ -333,15 +328,15 @@ def sup_difference(f: PLConcave, g: PLConcave) -> Fraction:
 
     Finite only when the extreme slopes agree (e.g. both functions are
     potentials of probability measures, possibly shifted); raises ValueError
-    when they differ.  The supremum is attained on the union of breakpoints,
+    when they differ.  The supremum is attained on the union of kinks,
     walked once per function, or at the asymptotic difference.  With equal
-    breakpoints (an exact plan's final potential and c) f - g is constant.
+    kinks and slopes (an exact plan's final potential and c) f - g is
+    constant.
     """
     if f.left_slope != g.left_slope or f.right_slope != g.right_slope:
         raise ValueError("sup difference is unbounded: extreme slopes differ")
-    if f.breakpoints == g.breakpoints:
-        x0, y0 = g.anchor
-        return abs(f.evaluate(x0) - y0)
+    if f.xs == g.xs and f.slopes == g.slopes:
+        return abs(f.values[0] - g.values[0])
     return max(map(abs, _gaps(f, g)[1]))
 
 

@@ -47,8 +47,9 @@ from .measure import VALUE_TOL, AtomicMeasure, _brief
 #: so a pass at the ceiling holds about 0.5 GB, the old pass let go first
 MAX_PATHS = 10**7
 
-#: paths per block of draws: a 32-step plan's block takes 2.4 MB; 2**14
-#: and 2**15 rows ran no faster and took more memory
+#: paths per block of draws: a row holds 1 + steps uniforms, so a 32-step
+#: plan's block takes 8192 x 33 x 8 B, about 2.2 MB; 2**14 and 2**15 rows
+#: ran no faster and took more memory
 _CHUNK = 1 << 13
 
 

@@ -109,11 +109,9 @@ def grid_point(rng: random.Random, span=10, denom=16) -> Fraction:
 
 
 def probe_points(*fns):
-    """Union of breakpoints of the given piecewise-linear functions plus one
+    """Union of the kinks of the given piecewise-linear functions plus one
     probe beyond each end (where all of them are affine)."""
     xs = sorted(set().union(*[set(f.xs) for f in fns]))
-    if not xs:
-        return [Fraction(0)]
     return [xs[0] - 1] + xs + [xs[-1] + 1]
 
 

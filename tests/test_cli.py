@@ -464,6 +464,38 @@ def test_huge_number_is_echoed_short(tmp_path, capsys):
     assert "(5001 digits) is out of range" in line
 
 
+def _long_decimal_spec(zeros):
+    """delta_0 -> +-X, X = 1.0...01 with the given zeros: a double whose
+    p/q has zeros + 2 digits."""
+    x = "1." + "0" * zeros + "1"
+    return ('{"mu0": [[0, 1]], "mu": [[-%s, 0.5], [%s, 0.5]], '
+            '"simulation": {"n_paths": 4000, "seed": 1}}' % (x, x))
+
+
+@pytest.mark.parametrize("command", [["analyze"], ["analyze", "--format", "json"], ["build"]],
+                         ids=["analyze", "analyze-json", "build"])
+def test_decimal_past_str_limit_exit_2(tmp_path, command):
+    # str cannot write a p/q of over 4300 digits, so such a decimal is
+    # refused at its field, where it is read
+    p, out = tmp_path / "s.json", tmp_path / "plan.json"
+    p.write_text(_long_decimal_spec(5000))
+    rc, err = _cli([*command, "--spec", str(p), *(["--out", str(out)] * (command == ["build"]))])
+    assert rc == 2 and not out.exists()
+    assert err == ("error: mu0/mu: number -1.00000000000000000... (5002 digits) "
+                   "has a p/q of over 4300 digits\n")
+
+
+def test_long_decimal_within_str_limit_runs(tmp_path, capsys):
+    p, plan = tmp_path / "s.json", tmp_path / "plan.json"
+    p.write_text(_long_decimal_spec(4000))
+    assert main(["analyze", "--spec", str(p)]) == 0
+    assert main(["build", "--spec", str(p), "--out", str(plan)]) == 0
+    assert main(["verify", "--spec", str(p), "--plan", str(plan)]) == 0
+    assert capsys.readouterr().out.endswith("verdict: PASS\n")
+    svg = tmp_path / "d.svg"
+    assert main(["diagram", "--spec", str(p), "--plan", str(plan), "--out", str(svg)]) == 0
+
+
 @pytest.mark.parametrize("C", ["1%s/1" % ("0" * 400), 10**400], ids=["p/q", "integer"])
 def test_custom_C_beyond_double_exit_2(tmp_path, capsys, C):
     spec = dict(SPEC, construction={"type": "custom", "tangents": [], "C": C})

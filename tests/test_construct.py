@@ -99,26 +99,25 @@ class TestCwStep:
 
 def _scan_cut_interval(g, f):
     """Reference for construct._cut_interval by a Fraction scan: d = g - f at
-    every breakpoint, the zero of d on the piece beyond the first and last
-    positive one, and the kinks left of lo and right of hi.  An affine g is
-    one piece; "everywhere" where f lies below all of it."""
+    every kink, the zero of d on the piece beyond the first and last
+    positive one, and the kinks left of lo and right of hi, but for an
+    affine g none: its kink at 0 goes; "everywhere" where f lies below all
+    of g."""
     xs, slopes, n = g.xs, g.slopes, len(g.xs)
-    if not xs:
-        (x0, y0), rise = g.anchor, g.left_slope - f.slope
-        if not rise:
-            return "everywhere" if y0 > f(x0) else None
-        z = x0 - (y0 - f(x0)) / rise
-        return (z, None, 0, 0) if rise > 0 else (None, z, 0, 0)
     ds = [v - f(x) for x, v in zip(xs, g.values)]
     zero = lambda i, k: xs[i] - ds[i] / (slopes[k] - f.slope)  # noqa: E731
     sl_left, sl_right = slopes[0] - f.slope, slopes[-1] - f.slope
     pos_left = sl_left < 0 or (sl_left == 0 and ds[0] > 0)
     pos_right = sl_right > 0 or (sl_right == 0 and ds[-1] > 0)
     pos = [i for i, d in enumerate(ds) if d > 0]
+    if pos_left and pos_right:
+        return "everywhere"
     if not (pos or pos_left or pos_right):
         return None
     lo = None if pos_left else zero(pos[0], pos[0]) if pos else zero(n - 1, n)
     hi = None if pos_right else zero(pos[-1], pos[-1] + 1) if pos else zero(0, 0)
+    if slopes[0] == slopes[-1]:
+        return lo, hi, 0, 1
     return (lo, hi, 0 if lo is None else bisect_left(xs, lo),
             n if hi is None else bisect_right(xs, hi))
 
@@ -134,9 +133,10 @@ def _big(rng, bits=200):
 @settings(max_examples=60, deadline=None)
 def test_cut_interval_matches_scan(seed):
     # running potentials after a few cuts, some by lines with ~2**200
-    # denominators, and an affine potential (no kinks); lines of every slope
-    # in [-1, 1], half of them with large, unequal denominators: through a
-    # kink (d = 0 there), just above or below one, or anywhere
+    # denominators, and an affine potential (one kink at 0, of drop 0);
+    # lines of every slope in [-1, 1], half of them with large, unequal
+    # denominators: through a kink (d = 0 there), just above or below one,
+    # or anywhere
     rng = random.Random(seed)
     m = random_prob_measure(rng, 8, span=4, denom=4)
     g = m.potential()
@@ -144,7 +144,8 @@ def test_cut_interval_matches_scan(seed):
         big = rng.random() < 0.5
         s = _big(rng) if big else F(rng.randint(-4, 4), 4)
         g = cw_step(g, m, Tangent(s, F(rng.randint(-40, 0), 4) + big * _big(rng))).potential_after
-    affine = PLConcave(F(rng.randint(-4, 4), 4), (), (F(rng.randint(-8, 8), 4), _big(rng)))
+    a = F(rng.randint(-4, 4), 4)
+    affine = PLConcave((F(0),), (a, a), (_big(rng),))
     for _ in range(30):
         big = rng.random() < 0.5
         s = _big(rng) if big else F(rng.randint(-4, 4), 4)
@@ -231,7 +232,7 @@ def _scan_splice(g, f):
     candidates = set(xs)
     for k, sl in enumerate(g.slopes):
         if sl != s:
-            x0 = xs[max(k - 1, 0)] if xs else g.anchor[0]  # a point of piece k
+            x0 = xs[max(k - 1, 0)]  # a point of piece k
             z = x0 - (g.evaluate(x0) - f(x0)) / (sl - s)
             if bounds[k] <= z <= bounds[k + 1]:
                 candidates.add(z)
@@ -254,7 +255,7 @@ def _splice_case(seed, kind):
     eighths = F(rng.randint(1, 8), 8)
     if kind == "affine":
         a = F(rng.randint(-4, 4), 4)
-        g = PLConcave(a, (), (F(rng.randint(-8, 8), 4), F(rng.randint(-8, 8), 4)))
+        g = PLConcave((F(0),), (a, a), (F(rng.randint(-8, 8), 4),))
         s = rng.choice([F(k, 4) for k in range(-4, 5) if F(k, 4) != a])
         return g, Tangent(s, F(rng.randint(-16, 16), 4))
     m = random_prob_measure(rng, 8, span=4, denom=4)
@@ -295,17 +296,16 @@ def test_splice_matches_scan(seed, kind):
 @given(seed=st.integers(0, 2**32), kind=st.sampled_from(sorted(PLAN_BUILDERS)))
 @settings(max_examples=60, deadline=None)
 def test_spliced_potential_matches_rebuild(seed, kind):
-    # each cut splices the running potential: its pieces equal a validating
-    # rebuild, it is the previous potential off [lo, hi], and its slope drops
-    # give the balayage of the previous measure
+    # each cut splices the running potential: its table passes the checking
+    # constructor, it is the previous potential off [lo, hi], and its slope
+    # drops give the balayage of the previous measure
     rng = random.Random(seed)
     mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
     plan = PLAN_BUILDERS[kind](rng, mu0, mu)
     g, m = mu0.potential(), mu0
     for st_ in plan.steps:
         new, iv = st_.potential_after, st_.interval
-        rebuilt = PLConcave(new.left_slope, new.breakpoints, new.anchor)
-        assert (new.xs, new.slopes, new.values) == (rebuilt.xs, rebuilt.slopes, rebuilt.values)
+        assert PLConcave(new.xs, new.slopes, new.values) == new
         for x in probe_points(g, new) + [e for e in (iv.lower, iv.upper) if e is not None]:
             if contains_strict(iv, x):
                 assert new.evaluate(x) == st_.tangent(x) < g.evaluate(x)
@@ -313,6 +313,19 @@ def test_spliced_potential_matches_rebuild(seed, kind):
                 assert new.evaluate(x) == g.evaluate(x)
         assert st_.measure_after == balayage(m, iv)
         g, m = new, st_.measure_after
+
+
+@given(seed=st.integers(0, 2**32), worked=st.booleans(),
+       kind=st.sampled_from(["azema-yor", "jacka", "reversed-azema-yor"]))
+@example(seed=0, worked=True, kind="azema-yor")
+@settings(max_examples=60, deadline=None)
+def test_exact_plan_ends_at_c(seed, worked, kind):
+    # a function has one kink table, so an exact plan's final potential is
+    # c itself, whatever order its cuts came in
+    rng = random.Random(seed)
+    mu0, mu = (D0, FOUR) if worked else (random_prob_measure(rng, 6), random_prob_measure(rng, 6))
+    plan = PLAN_BUILDERS[kind](rng, mu0, mu)
+    assert plan.residual == 0 and plan.final_potential == pair(mu0, mu).c
 
 
 def _dyadic_measure(rng, n, span, wbits):

@@ -98,18 +98,6 @@ class TestEvaluate:
     def test_far_field(self):
         assert D0.potential().evaluate(3) == -3
 
-    def test_anchor_anywhere(self):
-        # the values follow from the anchor wherever it sits: left of every
-        # kink, on one, between two or right of them all
-        rng = random.Random(12)
-        for _ in range(50):
-            m = random_prob_measure(rng, max_atoms=8)
-            u = m.potential()
-            for x in [u.xs[0] - 1, u.xs[-1] + 1, rng.choice(u.xs), F(rng.randint(-170, 170), 16)]:
-                moved = PLConcave(u.left_slope, u.breakpoints, (x, brute_potential(m, x)))
-                assert moved.values == tuple(brute_potential(m, y) for y in u.xs)
-                assert moved.evaluate(x + F(1, 3)) == brute_potential(m, x + F(1, 3))
-
 
 def _walk_case(seed, kind):
     """A potential of the given kind and ascending points: kinks, points
@@ -117,7 +105,8 @@ def _walk_case(seed, kind):
     rng = random.Random(seed)
     mu0, mu = random_prob_measure(rng), random_prob_measure(rng)
     if kind == "affine":
-        f = PLConcave(F(rng.randint(-4, 4), 4), (), (grid_point(rng), grid_point(rng)))
+        s = F(rng.randint(-4, 4), 4)
+        f = PLConcave((F(0),), (s, s), (grid_point(rng),))
     elif kind == "measure":
         f = mu0.potential()
     elif kind == "shifted":
@@ -125,7 +114,7 @@ def _walk_case(seed, kind):
     else:  # a running potential of random cuts, some of them of half lines
         plan = cw_run(mu0, random_cuts(rng, mu0), mu, gap_constant(mu0, mu))
         f = rng.choice([st_.potential_after for st_ in plan.steps] or [plan.final_potential])
-    xs = list(f.xs) or [f.anchor[0]]
+    xs = list(f.xs)
     pts = [xs[0] - F(rng.randint(1, 40), 8), xs[-1] + F(rng.randint(1, 40), 8)]
     pts += rng.sample(xs, rng.randint(0, len(xs)))
     pts += [a + (b - a) * F(rng.randint(1, 7), 8) for a, b in zip(xs, xs[1:]) if rng.random() < 0.5]
@@ -194,18 +183,18 @@ class TestMean:
 
 class TestMeasureFromPotential:
     def test_point_mass(self):
-        u = PLConcave(F(1), ((F(0), F(2)),), (F(0), F(0)))
+        u = PLConcave((F(0),), (F(1), F(-1)), (F(0),))
         assert u.measure() == D0
 
     def test_flat_trough(self):
-        u = PLConcave(F(1), ((F(-1), F(1)), (F(1), F(1))), (F(-1), F(-1)))
+        u = PLConcave((F(-1), F(1)), (F(1), F(0), F(-1)), (F(-1), F(-1)))
         assert u.measure() == PM1
 
     def test_round_trip(self):
         assert ASYM.potential().measure() == ASYM
 
     def test_malformed(self):
-        lopsided = PLConcave(F(1), ((F(0), F(1)),), (F(0), F(0)))  # right slope 0
+        lopsided = PLConcave((F(0),), (F(1), F(0)), (F(0),))  # right slope 0
         with pytest.raises(MalformedPotentialError):
             lopsided.measure()
 
@@ -213,6 +202,31 @@ class TestMeasureFromPotential:
     @settings(max_examples=60, deadline=None)
     def test_round_trip_property(self, m):
         assert m.potential().measure() == m
+
+
+class TestTable:
+    def test_affine_is_the_kink_at_zero(self):
+        # an affine function is the one kink at 0 with drop 0: no breakpoint
+        f = PLConcave((F(0),), (F(1, 2), F(1, 2)), (F(3),))
+        assert (f.evaluate(-4), f.evaluate(2), f.breakpoints) == (1, 4, ())
+        assert AtomicMeasure(()).potential() == PLConcave((F(0),), (F(0), F(0)), (F(0),))
+
+    @pytest.mark.parametrize("xs, slopes, values, message", [
+        ((), (F(0),), (), "need n >= 1 kinks"),
+        ((F(0),), (F(1), F(-1)), (), "need n >= 1 kinks"),
+        ((F(0), F(1)), (F(1), F(-1)), (F(0), F(-1)), "need n >= 1 kinks"),
+        ((F(1), F(0)), (F(1), F(0), F(-1)), (F(0), F(0)), "kinks must be strictly increasing"),
+        ((F(0), F(0)), (F(1), F(0), F(-1)), (F(0), F(0)), "kinks must be strictly increasing"),
+        ((F(0),), (F(0), F(1)), (F(0),), "slope drop at .* must be positive"),
+        ((F(1),), (F(1), F(1)), (F(0),), "slope drop at .* must be positive"),
+        ((F(-1), F(0), F(1)), (F(1), F(0), F(0), F(-1)), (F(-1), F(-1), F(-1)),
+         "slope drop at .* must be positive"),
+        ((F(-1), F(1)), (F(1), F(0), F(-1)), (F(-1), F(0)), "does not follow the slopes"),
+    ], ids=["no-kink", "no-value", "one-slope-short", "decreasing", "repeated", "drop-below-0",
+            "drop-0-off-0", "drop-0-among-kinks", "values"])
+    def test_refused(self, xs, slopes, values, message):
+        with pytest.raises(ValueError, match=message):
+            PLConcave(xs, slopes, values)
 
 
 class TestSplit:
@@ -296,8 +310,9 @@ class TestSupDifference:
             assert sup_difference(f, g) == sup_difference_by_probes(f, g)
 
     @pytest.mark.parametrize("other", [
-        lambda u: PLConcave(F(1, 2), u.breakpoints, u.anchor),  # the same kinks
-        lambda u: PLConcave(u.left_slope, u.breakpoints[:-1] + ((F(5), F(1, 2)),), u.anchor),
+        lambda u: PLConcave(u.xs, tuple(s - F(1, 2) for s in u.slopes),  # the same kinks
+                            tuple(v - x / 2 for x, v in zip(u.xs, u.values))),
+        lambda u: PLConcave((F(-1), F(5)), (F(1), F(0), F(-1, 2)), (F(-1), F(-1))),
         lambda u: AtomicMeasure.point(0, F(1, 2)).potential(),
     ], ids=["left", "right", "both"])
     def test_unequal_extreme_slopes_raise(self, other):
@@ -542,6 +557,19 @@ class TestFrac:
         # a "p/q" or an integer may underflow a double, but not overflow it
         with pytest.raises(ValueError, match="out of range"):
             frac(number)
+
+    @pytest.mark.parametrize("zeros", [4298, 4299, 5000])
+    def test_decimal_past_str_limit_refused(self, zeros):
+        # 1.0...01 fits a double, but its p/q has zeros + 2 digits, and str
+        # refuses an int of over 4300: such a decimal is refused, named short
+        text = "-1." + "0" * zeros + "1"
+        if zeros + 2 <= 4300:
+            assert str(frac(text)) == f"-{10 ** (zeros + 1) + 1}/{10 ** (zeros + 1)}"
+            return
+        with pytest.raises(ValueError) as info:
+            frac(text)
+        assert str(info.value) == (f"number -1.00000000000000000... ({zeros + 2} digits) "
+                                   "has a p/q of over 4300 digits")
 
     @pytest.mark.parametrize("sign", [1, -1])
     def test_int_past_str_limit_named_short(self, sign):

@@ -15,6 +15,7 @@ from conftest import (
     probe_points,
     random_cuts,
     random_prob_measure,
+    reflect,
     split_at,
 )
 from cwembed import (
@@ -201,16 +202,16 @@ def _scan_tangent_ratio_min(u0, c, x):
 def _ratio_cases(rng, u0, c, x):
     """c shifted down by a random amount, c shifted so that one of its
     segment lines left of x passes through (x, u0(x)) (the ratio is flat
-    there), and a line with no kinks through a point on or below u0 at x."""
+    there), and an affine c (one kink at 0, of drop 0) through a point on
+    or below u0 at x."""
     yield c.shift(-F(rng.randint(0, 3), rng.choice([1, 4])) * rng.randint(0, 1))
     segments = [k for k in range(len(c.slopes)) if k == 0 or c.xs[k - 1] < x]
     k = rng.choice(segments)
     ref = max(k - 1, 0)
-    if c.xs:
-        line_at_x = c.values[ref] + c.slopes[k] * (x - c.xs[ref])
-        yield c.shift(u0.evaluate(x) - line_at_x)
-    s = F(rng.randint(-4, 4), 4)
-    yield PLConcave(s, (), (x, u0.evaluate(x) - F(rng.randint(0, 2), 2)))
+    line_at_x = c.values[ref] + c.slopes[k] * (x - c.xs[ref])
+    yield c.shift(u0.evaluate(x) - line_at_x)
+    s, y = F(rng.randint(-4, 4), 4), u0.evaluate(x) - F(rng.randint(0, 2), 2)
+    yield PLConcave((F(0),), (s, s), (y - s * x,))
 
 
 @given(seed=st.integers(0, 2**32))
@@ -411,6 +412,55 @@ def test_structural_check_is_not_C_check_off_residual_0():
     assert plan.residual == F(1, 10**10) and plan.complete
     assert minimality._structural_ok(plan, contact_region(PM1, mu))
     assert plan.C != pair(PM1, mu).C
+
+
+def min_exceedance(plan, y):
+    """The exact P(running min <= y) of a plan: the max law at -y of its
+    mirror image under x -> -x."""
+    neg = lambda e: None if e is None else -e  # noqa: E731
+    mirrored = [Interval(neg(st_.interval.upper), neg(st_.interval.lower)) for st_ in plan.steps]
+    return _max_exceedance_exact(reflect(plan.mu0), mirrored, -y)
+
+
+#: delta_0 -> delta_0 cut by y = -1, y = x - 1 and y = -x - 1 at C = 1: exact,
+#: but no minimal embedding (plan.C > pair.C), and P(max >= 1/2) = 2/3
+NONMINIMAL = (D0, D0, [Tangent(F(0), F(-1)), Tangent(F(1), F(-1)), Tangent(F(-1), F(-1))], 1)
+
+
+@given(seed=st.integers(0, 2**32), custom=st.none())
+@example(seed=0, custom=NONMINIMAL)
+@settings(max_examples=150, deadline=None)
+def test_azema_yor_optimality(seed, custom):
+    # the paper's optimality statement, exactly: every exact, structurally ok
+    # plan keeps P(max >= x) within max_law_bound and P(min <= x) within the
+    # mirrored bound, at each atom of mu0 and mu and half a unit either side;
+    # Azema-Yor attains the max bound and its reverse the min bound wherever
+    # the bound is positive.  ``custom`` is a pair, lines and C cut in place
+    # of the azema-yor, reversed and jacka plans of a random pair
+    rng = random.Random(seed)
+    if custom is None:
+        mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
+        kinds = ("azema-yor", "reversed-azema-yor", "jacka")
+        plans = {kind: PLAN_BUILDERS[kind](rng, mu0, mu) for kind in kinds}
+    else:
+        mu0, mu, lines, C = custom
+        plans = {"custom": cw_run(mu0, lines, mu, C)}
+    region, mirror = contact_region(mu0, mu), (reflect(mu0), reflect(mu))
+    points = sorted({a + d for a in mu0.positions + mu.positions for d in (F(-1, 2), 0, F(1, 2))})
+    max_bounds = [max_law_bound(mu0, mu, x) for x in points]
+    min_bounds = [max_law_bound(*mirror, -x) for x in points]
+    for kind, plan in plans.items():
+        assert plan.residual == 0
+        max_law = [exceedance(plan, x) for x in points]
+        min_law = [min_exceedance(plan, x) for x in points]
+        within = all(v <= b for v, b in zip(max_law + min_law, max_bounds + min_bounds))
+        assert minimality._structural_ok(plan, region) == within == (custom is None)
+        for law, bounds, attains in ((max_law, max_bounds, "azema-yor"),
+                                     (min_law, min_bounds, "reversed-azema-yor")):
+            if kind == attains:
+                assert all(v == b for v, b in zip(law, bounds) if b > 0)
+    if custom is not None:
+        assert exceedance(plans["custom"], F(1, 2)) == F(2, 3) and max_bounds[-1] == 0
 
 
 class TestReport:
