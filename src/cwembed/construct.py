@@ -33,6 +33,8 @@ from .measure import (
     AtomicMeasure,
     PLConcave,
     Real,
+    _table,
+    _too_long,
     frac,
     pair,
     sup_difference,
@@ -60,7 +62,7 @@ class Tangent:
 
 @dataclass(frozen=True)
 class Step:
-    """One balayage step of a plan.
+    """One balayage step of a plan, as ``_step`` cuts it.
 
     ``interval`` endpoints are exactly where the tangent crosses the previous
     potential; ``potential_after``, the pointwise minimum of the previous
@@ -179,18 +181,19 @@ def _wire_list(data) -> list:
 # the single cutting step
 
 
-def _cut_interval(g: PLConcave, f: Tangent):
-    """Open interval {x : f(x) < g(x)} of the concave d = g - f and where it
-    sits: (lo, hi, i, j), None for an infinite end, with g's kinks xs[:i]
-    left of lo and xs[j:] right of hi (an affine g's kink at 0, of drop 0,
-    goes: i, j = 0, 1); None when the set is empty, and InvalidTangentError
+def _step(g: PLConcave, f: Tangent) -> Optional[Step]:
+    """The step cutting g with f: the open interval {x : f(x) < g(x)} of the
+    concave d = g - f, None for an infinite end, and min(g, f), which keeps
+    g's kinks outside it (an affine g's kink at 0, of drop 0, goes) and adds
+    one at each finite end; None when the set is empty, InvalidTangentError
     when it is all of R.  Over the kinks d rises until g's slope drops to
     f's, then falls: bisecting the slopes finds that peak, and a walk out
     from it evaluates d at the kinks where d > 0, all of which the cut
-    removes, and at one more on each side.  A finite end is the zero of d
-    on the piece where it changes sign, a kink iff d is 0 there.
-    Every sign test is on integers: d at a kink is one numerator over a
-    positive denominator, and only a finite end becomes a Fraction.
+    removes, and at one more on each side.  A finite end is the zero of d on
+    the piece where it changes sign, a kink iff d is 0 there.  Every sign
+    test is on integers, from f = (a x + b) / q: only a finite end and f
+    there become Fractions.  d changes sign at an end, so f's slope lies
+    strictly between g's there and the table needs no check (``_table``).
     """
     xs, slopes, values = g.xs, g.slopes, g.values
     n, s = len(xs), f.slope
@@ -232,24 +235,21 @@ def _cut_interval(g: PLConcave, f: Tangent):
         lo, hi, i, j = zero(n - 1, dp, slopes[-1]), None, n - (dp == 0), n
     else:
         return None
-    return (lo, hi, i, j) if slopes[0] != slopes[-1] else (lo, hi, 0, 1)
-
-
-def _step(g: PLConcave, f: Tangent) -> Optional[Step]:
-    """The step cutting g with f, or None when f cuts nothing."""
-    cut = _cut_interval(g, f)
-    if cut is None:
-        return None
-    lo, hi, i, j = cut
-    return Step(f, Interval(lo, hi), g._cut(lo, hi, i, j, f.slope, f.intercept))
+    if slopes[0] == slopes[-1]:
+        i, j = 0, 1
+    ends = tuple(x for x in (lo, hi) if x is not None)
+    return Step(f, Interval(lo, hi), _table(
+        xs[:i] + ends + xs[j:],
+        (() if lo is None else slopes[:i + 1]) + (s,) + (() if hi is None else slopes[j:]),
+        values[:i] + tuple(Fraction(a * x.numerator + b * x.denominator, q * x.denominator)
+                           for x in ends) + values[j:]))
 
 
 def cw_step(potential: PLConcave, measure: AtomicMeasure, f: Tangent) -> Step:
-    """Cut the running potential with one tangent.
-
-    A tangent that only touches the potential gives a no-op step with the
-    potential unchanged.  ``measure`` is not read: the measure after the
-    step is read off its potential.
+    """Cut the running potential with one tangent: ``_step``, the cut that
+    ``cw_run`` folds, but a tangent that only touches the potential gives a
+    no-op step with the potential unchanged.  ``measure`` is not read: the
+    measure after the step is read off its potential.
     """
     return _step(potential, f) or Step(f, None, potential)
 
@@ -354,7 +354,10 @@ def vallois_eps_plan(
     unchanged, a work bound rather than a proven limit: at a fixed eps the
     lines can converge to a potential other than c.  The first step may cut
     nothing while later ones still gain; a later line that cuts nothing
-    repeats the one two steps back, and so does every line after it.
+    repeats the one two steps back, and so does every line after it.  It
+    also stops before a line whose slope or intercept needs over 4300 digits
+    as p/q, a work bound too: no plan file could hold it, as ``frac`` holds
+    its inputs to that length.
     """
     epsf = frac(eps)
     if epsf <= 0:
@@ -372,6 +375,8 @@ def vallois_eps_plan(
         last = (last[1], residual) if k else last
         x0 = epsf if k % 2 == 0 else Fraction(0)
         f = _support_line_through(p.c, x0, g.evaluate(x0), "left" if k % 2 == 0 else "right")
+        if _too_long(f.slope) or _too_long(f.intercept):
+            break
         st = _step(g, f)
         if st is not None:
             steps.append(st)

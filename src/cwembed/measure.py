@@ -8,7 +8,8 @@ and crossing computations hold with zero error.
 A potential is a ``PLConcave``, one table of its kinks, the n + 1 slopes
 around them and its values there (an affine function is the one kink at 0,
 of drop 0), so ``==`` is equality of functions.  The constructor checks a
-table; the potentials, shifts and cuts built here skip that (``_table``).
+table; the potentials and shifts built here, and the cuts that
+``construct`` builds, skip that (``_table``).
 
 A pair (mu0, target) fixes the potentials u0, ut, the gap constant C,
 c = ut - C and the contact set where u0 = c; ``pair`` computes them in one
@@ -31,7 +32,7 @@ from decimal import Decimal
 from fractions import Fraction
 from functools import update_wrapper
 from itertools import accumulate
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Sequence, Union
 
 from .errors import InvalidParameterError, MalformedPotentialError
 
@@ -44,6 +45,11 @@ MASS_TOL = Fraction(1, 10**12)
 #: residual at which a Vallois plan, the only one off the target atoms, is done
 VALUE_TOL = Fraction(1, 10**9)
 _TOO_LONG = 10**4300  # the least int of 4301 digits, past str's int-string limit
+
+
+def _too_long(q: Fraction) -> bool:
+    """q's p/q needs over 4300 digits, so ``str`` cannot write it."""
+    return max(abs(q.numerator), q.denominator) >= _TOO_LONG
 
 
 def frac(x: Union[Real, str]) -> Fraction:
@@ -61,7 +67,7 @@ def frac(x: Union[Real, str]) -> Fraction:
         if not math.isfinite(approx) or (approx == 0) != exact.is_zero():
             raise ValueError(f"number {_brief(x)} is out of range")
         q = Fraction(exact)
-        if max(abs(q.numerator), q.denominator) >= _TOO_LONG:
+        if _too_long(q):
             raise ValueError(f"number {_brief(x)} has a p/q of over 4300 digits")
         return q
     q = Fraction(x)
@@ -275,24 +281,6 @@ class PLConcave:
         cf = frac(c)
         return _table(self.xs, self.slopes, tuple(v + cf for v in self.values))
 
-    def _cut(self, lo: Optional[Fraction], hi: Optional[Fraction], i: int, j: int,
-             slope: Fraction, intercept: Fraction) -> "PLConcave":
-        """min(self, line) for the line x -> slope*x + intercept that lies
-        strictly below self exactly on (lo, hi), None for an infinite end,
-        where self's kinks xs[:i] lie left of lo and xs[j:] right of hi.  It
-        shares self's other pieces; only the kinks at lo and hi are checked."""
-        xs, slopes, values = self.xs, self.slopes, self.values
-        if (lo is not None and slopes[i] <= slope) or (hi is not None and slope <= slopes[j]):
-            raise ValueError(f"a cut must add kinks of positive drop, got slope {slope}")
-        kx = (() if lo is None else (lo,)) + (() if hi is None else (hi,))
-        (sn, sd), (bn, bd) = slope.as_integer_ratio(), intercept.as_integer_ratio()
-        kv = tuple(Fraction(sn * bd * x.numerator + bn * sd * x.denominator, sd * bd * x.denominator)
-                   for x in kx)
-        return _table(xs[:i] + kx + xs[j:],
-                      (slopes[:i + 1] if lo is not None else ()) + (slope,)
-                      + (slopes[j:] if hi is not None else ()),
-                      values[:i] + kv + values[j:])
-
     # -- inverse -----------------------------------------------------------
 
     def measure(self) -> AtomicMeasure:
@@ -308,7 +296,8 @@ class PLConcave:
 
 
 def _table(xs: tuple, slopes: tuple, values: tuple) -> PLConcave:
-    """A table built here, valid by construction: the one way past the checks."""
+    """A table valid by construction, the one way past the checks: a
+    measure's potential, a shift, and a cut of ``construct._step``."""
     f = object.__new__(PLConcave)
     f.__dict__.update(xs=xs, slopes=slopes, values=values)
     return f

@@ -158,6 +158,13 @@ def random_cuts(rng: random.Random, mu0: AtomicMeasure) -> list[Tangent]:
     return out
 
 
+def lifted_ay_plan(mu0: AtomicMeasure, mu: AtomicMeasure, C) -> EmbeddingPlan:
+    """The Azema-Yor lines of u_mu - C, run at C: an exact plan for any C at
+    least the gap constant, and for C above it one that is not minimal."""
+    drop = frac(C) - gap_constant(mu0, mu)
+    return cw_run(mu0, [Tangent(f.slope, f.intercept - drop) for f in ay_sweep(mu0, mu)], mu, C)
+
+
 #: a plan of each of the five constructions, from (rng, mu0, mu)
 PLAN_BUILDERS = {
     "azema-yor": lambda rng, mu0, mu: cw_run(mu0, ay_sweep(mu0, mu), mu, gap_constant(mu0, mu)),

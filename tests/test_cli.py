@@ -8,7 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cwembed import AtomicMeasure, ay_sweep, cli, cw_run, measure, minimality
@@ -592,6 +592,19 @@ def test_stalled_vallois_build_stops(tmp_path):
     assert len(json.loads(plan.read_text())["steps"]) == 9
 
 
+def test_vallois_build_stops_before_a_line_too_long_to_write(tmp_path):
+    # an atom of FOUR_SPEC moved to 1e5: the residual falls about 1/2 a step
+    # while the lines' denominators grow about 2.65 digits a step, so the
+    # run stops after 1622 steps, before a line that str could not write
+    mu = [[1e5, 0.25]] + FOUR_SPEC["mu"][1:]
+    p, plan = tmp_path / "s.json", tmp_path / "plan.json"
+    p.write_text(json.dumps(dict(FOUR_SPEC, mu=mu, construction={"type": "vallois", "eps": 0.5,
+                                                                 "max_steps": 1800})))
+    rc, err = _cli(["build", "--spec", str(p), "--out", str(plan)])
+    assert (rc, err) == (3, "warning: plan truncated, residual = 49192.1\n")
+    assert len(json.loads(plan.read_text())["steps"]) == 1622
+
+
 @pytest.fixture(scope="module")
 def four_files(tmp_path_factory):
     """A spec and the azema-yor plan built from it (several steps)."""
@@ -784,6 +797,8 @@ def _edit_spec(spec, edits):
 
 
 @given(edits=_spec_edits())
+@example(edits=(_BASE_CONSTRUCTIONS[3], [("construction", "max_steps", "set", 0, 1e5),
+                                         ("mu", 0, "entry", 0, 1e5)]))
 @settings(max_examples=60, deadline=None)
 def test_spec_fuzz_exit_codes(tmp_path_factory, edits):
     con, changes = edits

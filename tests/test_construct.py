@@ -44,7 +44,7 @@ from cwembed import (
     vallois_eps_plan,
 )
 from cwembed import construct
-from cwembed.construct import _cut_interval
+from cwembed.construct import _step
 from cwembed.diagram import render_plan_svg
 from cwembed.measure import VALUE_TOL
 from cwembed.minimality import ay_max_law
@@ -98,7 +98,7 @@ class TestCwStep:
 
 
 def _scan_cut_interval(g, f):
-    """Reference for construct._cut_interval by a Fraction scan: d = g - f at
+    """Reference for the cut of construct._step by a Fraction scan: d = g - f at
     every kink, the zero of d on the piece beyond the first and last
     positive one, and the kinks left of lo and right of hi, but for an
     affine g none: its kink at 0 goes; "everywhere" where f lies below all
@@ -157,9 +157,15 @@ def test_cut_interval_matches_scan(seed):
             expected = _scan_cut_interval(h, f)
             if expected == "everywhere":
                 with pytest.raises(InvalidTangentError):
-                    _cut_interval(h, f)
+                    _step(h, f)
+            elif expected is None:
+                assert _step(h, f) is None
             else:
-                assert _cut_interval(h, f) == expected
+                lo, hi, i, j = expected
+                step = _step(h, f)
+                assert (step.interval.lower, step.interval.upper) == (lo, hi)
+                ends = tuple(x for x in (lo, hi) if x is not None)
+                assert step.potential_after.xs == h.xs[:i] + ends + h.xs[j:]
 
 
 class TestCwRun:
@@ -452,6 +458,21 @@ def test_vallois_stall_skips_first_step():
     assert len(plan.steps) == 11 and plan.residual < 3
 
 
+def test_vallois_stops_before_a_line_too_long_to_write():
+    # an atom at 10**50: at eps = 1/2 the residual falls slowly while the
+    # lines' denominators grow some 25 digits a step, and the run stops
+    # before the first line whose p/q needs over 4300 digits; the lines it
+    # keeps reach that bound, and the plan writes and replays
+    q = F(1, 4)
+    mu = AtomicMeasure.from_pairs([(10**50, q), (-1, q), (1, q), (2, q)])
+    plan = vallois_eps_plan(D0, mu, F(1, 2), 200)
+    assert len(plan.steps) == 171 and not plan.complete
+    sizes = [max(abs(r.numerator), r.denominator)
+             for st_ in plan.steps for r in (st_.tangent.slope, st_.tangent.intercept)]
+    assert 10**4200 <= max(sizes) < 10**4300
+    assert EmbeddingPlan.from_wire(json.loads(json.dumps(plan.to_wire()))).steps == plan.steps
+
+
 class TestAySweep:
     def test_lifted_pair(self):
         # touch points left to right: the rising collapse first, then the fall
@@ -575,7 +596,7 @@ class TestJacka:
 
 def _pre_filtered(u0, lines):
     """The filter the sweeps once ran: keep a line only if it cuts u0."""
-    return [f for f in lines if _cut_interval(u0, f) is not None]
+    return [f for f in lines if _step(u0, f) is not None]
 
 
 def _jacka_lines(mu0, mu):

@@ -10,6 +10,7 @@ from conftest import (
     PLAN_BUILDERS,
     contact_scan,
     contains_strict,
+    lifted_ay_plan,
     mass_below,
     mass_upto,
     probe_points,
@@ -461,6 +462,29 @@ def test_azema_yor_optimality(seed, custom):
                 assert all(v == b for v, b in zip(law, bounds) if b > 0)
     if custom is not None:
         assert exceedance(plans["custom"], F(1, 2)) == F(2, 3) and max_bounds[-1] == 0
+
+
+@given(seed=st.integers(0, 2**32), k=st.integers(1, 8))
+@settings(max_examples=100, deadline=None)
+def test_local_time_on_contact_set(seed, k):
+    # ROADMAP item 2's exact statement: the expected local time at a is
+    # u0(a) - g(a), g the final potential, so at every finite contact end of
+    # a residual-0 plan it is plan.C - pair.C: 0 on the azema-yor, reversed
+    # and jacka plans, and k/8 on the lifted plan at pair.C + k/8, which is
+    # exact but crosses the contact set
+    rng = random.Random(seed)
+    mu0, mu = random_prob_measure(rng, 6), random_prob_measure(rng, 6)
+    p = pair(mu0, mu)
+    kinds = ("azema-yor", "reversed-azema-yor", "jacka")
+    plans = [PLAN_BUILDERS[kind](rng, mu0, mu) for kind in kinds]
+    lifted = lifted_ay_plan(mu0, mu, p.C + F(k, 8))
+    assert lifted.residual == 0
+    assert not minimality._structural_ok(lifted, contact_region(mu0, mu))
+    ends = [a for comp in p.contact for a in comp if isinstance(a, F)]
+    for plan in plans + [lifted]:
+        if plan.residual == 0:
+            g = plan.final_potential
+            assert all(p.u0.evaluate(a) - g.evaluate(a) == plan.C - p.C for a in ends)
 
 
 class TestReport:
