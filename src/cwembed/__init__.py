@@ -46,13 +46,17 @@ from .minimality import (
     max_law_bound,
     minimality_report,
 )
-from .simulate import (
-    EmpiricalLaw,
-    PathSample,
-    empirical_law,
-    sample_path,
-    tail_probability,
-    tv_distance,
-)
 
 __version__ = "0.1.0"
+
+#: the Monte Carlo names: the first use of one imports ``simulate``, the one
+#: module that needs numpy, so a command that never simulates never loads it
+_SIMULATE = ("EmpiricalLaw", "PathSample", "empirical_law", "sample_path",
+             "tail_probability", "tv_distance")
+
+
+def __getattr__(name):
+    if name in _SIMULATE:
+        from . import simulate
+        return getattr(simulate, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -28,6 +28,8 @@ residual is a float for reading only.
 
 Exit codes: 0 ok; 2 parse error or input mismatch (the message names the
 field); 3 inadmissible or truncated construction; 4 verification failure.
+
+Only verify simulates, so analyze, build and diagram never import numpy.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
 
-from . import minimality, simulate
+from . import minimality
 from .construct import (
     EmbeddingPlan,
     Tangent,
@@ -52,7 +54,7 @@ from .construct import (
 )
 from .diagram import render_plan_svg
 from .errors import EmbedError, IncompletePlanError, ProblemSpecError, field_errors
-from .measure import MASS_TOL, AtomicMeasure, Pair, frac, gap_constant, pair
+from .measure import MASS_TOL, MAX_PATHS, AtomicMeasure, Pair, _too_long, frac, gap_constant, pair
 
 _CONSTRUCTIONS = ("azema-yor", "reversed-azema-yor", "jacka", "vallois", "custom")
 
@@ -93,7 +95,7 @@ def _integer(value, fld) -> int:
 
 def _path_count(value, fld) -> int:
     n = _integer(value, fld)
-    _require(1 <= n <= simulate.MAX_PATHS, f"must be in [1, {simulate.MAX_PATHS}], got {n}", fld)
+    _require(1 <= n <= MAX_PATHS, f"must be in [1, {MAX_PATHS}], got {n}", fld)
     return n
 
 
@@ -136,6 +138,11 @@ def load_problem_spec(path) -> ProblemSpec:
     # only within MASS_TOL, and a pair needs mass exactly 1
     mu0, mu = (m if m.total_mass == 1 else
                AtomicMeasure(tuple((x, w / m.total_mass) for x, w in m.atoms)) for m in (mu0, mu))
+    with field_errors("mu0/mu"):  # every command forms the pair, so later ones hit the memo
+        p = pair(mu0, mu)
+    _require(not any(map(_too_long, (p.C, *p.u0.slopes, *p.u0.values, *p.ut.slopes,
+                                     *p.ut.values))),
+             "the pair's potentials need a p/q of over 4300 digits", "mu0/mu")
 
     con = raw.get("construction", {"type": "azema-yor"})
     _require(isinstance(con, dict) and "type" in con, "construction needs a type", "construction")
@@ -257,6 +264,7 @@ def _load_plan(path, spec: ProblemSpec) -> EmbeddingPlan:
 
 
 def cmd_verify(args) -> int:
+    from . import simulate  # the one command that simulates, so the one that loads numpy
     spec = load_problem_spec(args.spec)
     plan = _load_plan(args.plan, spec)
     if not plan.complete:

@@ -20,7 +20,9 @@ numbers from outside: it refuses a bool and any magnitude beyond a double,
 and a decimal must not underflow, nor need over 4300 digits as p/q.
 MASS_TOL bounds the CLI's rescale of spec weights; VALUE_TOL is where the
 Vallois iteration, the only construction that ends off the target atoms, may
-stop: a plan's ``complete`` and ``close_to``.
+stop: a plan's ``complete`` and ``close_to``.  MAX_PATHS bounds one Monte
+Carlo pass; it is kept here so that the CLI checks a spec's path count
+without importing ``simulate``, and numpy with it.
 """
 
 from __future__ import annotations
@@ -44,6 +46,9 @@ Endpoint = Union[Fraction, float]  # float only for +-inf
 MASS_TOL = Fraction(1, 10**12)
 #: residual at which a Vallois plan, the only one off the target atoms, is done
 VALUE_TOL = Fraction(1, 10**9)
+#: most paths one Monte Carlo pass simulates: at 48 bytes a path, a pass at
+#: the ceiling holds about 0.5 GB, the old pass let go first
+MAX_PATHS = 10**7
 _TOO_LONG = 10**4300  # the least int of 4301 digits, past str's int-string limit
 
 

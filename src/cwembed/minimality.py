@@ -11,7 +11,6 @@ from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from . import simulate
 from .balayage import Interval, _sweep
 from .construct import EmbeddingPlan, ay_sweep, cw_run, tangent_ratio_min
 from .errors import IncompletePlanError
@@ -179,6 +178,7 @@ def minimality_report(
     starts at or above a_minus / at or below a_plus, with binomial standard
     errors.  Deterministic given the seed.
     """
+    from . import simulate  # numpy loads only when a report is made
     if not plan.complete:
         raise IncompletePlanError("minimality report requires a complete plan")
     C = gap_constant(plan.mu0, plan.target)

@@ -26,6 +26,9 @@ w < q = P(exit low); given the exit, (q - w)/q or (1 - w)/(1 - q) is a fresh
 uniform for the far extreme (uniform recycling, Devroye 1986).  Uniforms are
 multiples of 2**-53, so a low exit's recycled uniform has about q * 2**53
 levels, far finer than 1/MAX_PATHS unless q < 1e-9.
+
+The one module that imports numpy: the package, ``minimality`` and the CLI
+import it on first use, so only a call that simulates pays for numpy.
 """
 
 from __future__ import annotations
@@ -41,11 +44,7 @@ import numpy as np
 from .balayage import Interval
 from .construct import EmbeddingPlan
 from .errors import IncompletePlanError, InvalidParameterError
-from .measure import VALUE_TOL, AtomicMeasure, _brief
-
-#: most paths one pass simulates: its per-path arrays take 48 bytes a path,
-#: so a pass at the ceiling holds about 0.5 GB, the old pass let go first
-MAX_PATHS = 10**7
+from .measure import MAX_PATHS, VALUE_TOL, AtomicMeasure, _brief
 
 #: paths per block of draws: a row holds 1 + steps uniforms, so a 32-step
 #: plan's block takes 8192 x 33 x 8 B, about 2.2 MB; 2**14 and 2**15 rows

@@ -485,6 +485,22 @@ def test_decimal_past_str_limit_exit_2(tmp_path, command):
                    "has a p/q of over 4300 digits\n")
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["analyze", "--format", "json"], ["build"]],
+                         ids=["analyze", "analyze-json", "build"])
+def test_pair_past_str_limit_exit_2(tmp_path, command):
+    # each number reads within the limit, but the pair's potentials do not:
+    # mu at +-X, X = 1.0...01 with 2500 zeros, weighted 1/2 + 10**-2502 and
+    # 1/2 - 10**-2502, from mu0 at 0 and 1/2
+    x = "1." + "0" * 2500 + "1"
+    p, out = tmp_path / "s.json", tmp_path / "plan.json"
+    p.write_text('{"mu0": [[0, 0.5], [0.5, 0.5]], "mu": [[-%s, 0.5%s1], [%s, 0.4%s]]}'
+                 % (x, "0" * 2500, x, "9" * 2501))
+    rc, err = _cli([*command, "--spec", str(p), *(["--out", str(out)] * (command == ["build"]))])
+    assert rc == 2 and not out.exists() and "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: mu0/mu: ")
+
+
 def test_long_decimal_within_str_limit_runs(tmp_path, capsys):
     p, plan = tmp_path / "s.json", tmp_path / "plan.json"
     p.write_text(_long_decimal_spec(4000))
